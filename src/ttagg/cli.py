@@ -15,27 +15,24 @@ import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ConfigError, build_kernel_set, config_to_dict, load_config
 from .integrator import StepFailureError, integrate
 from .kernels import (
     DENSE_ELEMENT_BUDGET,
+    BrownianSpec,
+    CPKernel,
     DenseKernel,
     KernelError,
+    SymmetrizedCPKernel,
     TTKernel,
+    build_brownian_tt,
     dense_from_spec,
 )
 from .parallel import run_scaling_benchmark
-from .rhs import (
-    ConcentrationState,
-    rhs_cp_P,
-    rhs_cp_Q,
-    rhs_dense_P,
-    rhs_dense_Q,
-    rhs_tt_P,
-    rhs_tt_Q,
-)
+from .rhs import ConcentrationState, rhs_dense_P, rhs_dense_Q, rhs_gain_loss
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,6 +40,12 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 VERIFY_TOL = 1e-10
+
+_REPRESENTATION_NAMES = {
+    TTKernel: "TT",
+    CPKernel: "CP",
+    SymmetrizedCPKernel: "symmetrized CP",
+}
 
 
 def _fmt(value: float) -> str:
@@ -69,6 +72,7 @@ def _write_manifest(path: str, config) -> None:
         "versions": {
             "ttagg": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -111,7 +115,9 @@ def cmd_simulate(config_path: str, output_dir: str | None = None,
 
 
 def _run_verification(config, seed: int | None = None) -> int:
-    """Compare the fast kernel paths against dense oracles on random states."""
+    """Compare the run-time kernel paths against dense oracles on random
+    states; Brownian orders also check the constructive TT, which the
+    run time does not use.  One line per order and representation."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -127,25 +133,29 @@ def _run_verification(config, seed: int | None = None) -> int:
 
     worst = 0.0
     for d in sorted(config.kernel_specs):
+        spec = config.kernel_specs[d]
         fast = kernels[d]
-        oracle = dense_from_spec(config.kernel_specs[d], config.n_classes)
         if isinstance(fast, DenseKernel):
             print(f"order {d}: dense kernel, nothing to verify")
             continue
-        err_p = err_q = 0.0
-        for state in states:
-            ref_p = rhs_dense_P(oracle, state)
-            ref_q = rhs_dense_Q(oracle, state)
-            if isinstance(fast, TTKernel):
-                got_p = rhs_tt_P(fast, state, plan)
-                got_q = rhs_tt_Q(fast, state, plan)
-            else:
-                got_p = rhs_cp_P(fast, state, plan)
-                got_q = rhs_cp_Q(fast, state, plan)
-            err_p = max(err_p, _rel_inf(got_p, ref_p))
-            err_q = max(err_q, _rel_inf(got_q, ref_q))
-        worst = max(worst, err_p, err_q)
-        print(f"order {d}: max relative error P = {err_p:.3e}, Q = {err_q:.3e}")
+        candidates = [(_REPRESENTATION_NAMES[type(fast)], fast)]
+        if isinstance(spec, BrownianSpec):
+            candidates.append(
+                ("constructive TT", build_brownian_tt(spec, config.n_classes))
+            )
+        oracle = dense_from_spec(spec, config.n_classes)
+        refs = [(rhs_dense_P(oracle, s), rhs_dense_Q(oracle, s)) for s in states]
+        for name, kernel in candidates:
+            err_p = err_q = 0.0
+            for state, (ref_p, ref_q) in zip(states, refs):
+                got_p, got_q = rhs_gain_loss(kernel, state, plan)
+                err_p = max(err_p, _rel_inf(got_p, ref_p))
+                err_q = max(err_q, _rel_inf(got_q, ref_q))
+            worst = max(worst, err_p, err_q)
+            print(
+                f"order {d}, {name}: max relative error "
+                f"P = {err_p:.3e}, Q = {err_q:.3e}"
+            )
     if worst <= VERIFY_TOL:
         print(f"verify: PASS (all errors <= {VERIFY_TOL:.1e})")
         return EXIT_OK

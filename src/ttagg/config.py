@@ -17,7 +17,8 @@ from .kernels import (
     BrownianSpec,
     ConstantSpec,
     TableSpec,
-    build_brownian_tt,
+    brownian_symmetrized_cp,
+    build_brownian_tt,  # noqa: F401  (perfbench/tracing.py wraps it here)
     constant_tt,
     dense_from_spec,
 )
@@ -229,12 +230,13 @@ def load_config(path: str) -> SimulationConfig:
 
 
 def build_kernel_set(config: SimulationConfig) -> KernelSet:
-    """Assemble runtime kernels: Brownian and constant specifications get
-    exact TT representations, tables stay dense."""
+    """Assemble runtime kernels: Brownian specifications get the exact
+    rank-1 symmetrized CP form (d forward transforms per gain), constant
+    ones the rank-1 TT, and tables stay dense."""
     kernels = {}
     for d, spec in config.kernel_specs.items():
         if isinstance(spec, BrownianSpec):
-            kernels[d] = build_brownian_tt(spec, config.n_classes)
+            kernels[d] = brownian_symmetrized_cp(spec, config.n_classes)
         elif isinstance(spec, ConstantSpec):
             kernels[d] = constant_tt(spec.value, d, config.n_classes)
         else:

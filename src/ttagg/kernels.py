@@ -6,6 +6,8 @@ Brownian coefficients (permutation-symmetrized products of power
 functions of the particle sizes) an exact low-rank tensor-train
 representation is built constructively; its ranks depend only on the
 number of colliding particles, never on the number of size classes.
+The same coefficients are also exactly a symmetrized CP sum of rank 1,
+the form the solver runs them on.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -24,18 +27,21 @@ __all__ = [
     "TableSpec",
     "TTKernel",
     "CPKernel",
+    "SymmetrizedCPKernel",
     "DenseKernel",
     "SubsetCodec",
     "brownian_element",
     "build_brownian_tt",
     "tt_element",
     "cp_element",
+    "symmetrized_cp_element",
     "dense_from_spec",
     "dense_from_tt",
     "dense_from_cp",
     "tt_max_rank_bound",
     "constant_tt",
     "constant_cp",
+    "brownian_symmetrized_cp",
 ]
 
 # D! permutations are enumerated literally; beyond this the sum is impractical.
@@ -181,12 +187,8 @@ class TTKernel:
 
 
 @dataclass(frozen=True)
-class CPKernel:
-    """Canonical polyadic kernel: one N x R factor matrix per mode.
-
-    No decomposition routine is provided; CP kernels are inputs, supplied
-    by the user or known analytically.
-    """
+class _FactorKernel:
+    """One N x R factor matrix per mode; the subclass says how they combine."""
 
     factors: tuple[np.ndarray, ...]
 
@@ -213,6 +215,26 @@ class CPKernel:
     @property
     def rank(self) -> int:
         return self.factors[0].shape[1]
+
+
+@dataclass(frozen=True)
+class CPKernel(_FactorKernel):
+    """Canonical polyadic kernel: C = sum_r prod_m f_{m,r}(i_m).
+
+    No decomposition routine is provided; CP kernels are inputs, supplied
+    by the user or known analytically.
+    """
+
+
+@dataclass(frozen=True)
+class SymmetrizedCPKernel(_FactorKernel):
+    """Symmetrized CP kernel: C = sum_{s in S_D} sum_r prod_m f_{m,r}(i_{s(m)}).
+
+    There is no 1/D! in front, so a generalized Brownian kernel is this
+    form at rank 1 with f_m = i**mu_m.  Symmetric by construction; it is
+    not a CPKernel, because its coefficients are the permutation sum of
+    the plain CP ones.
+    """
 
 
 @dataclass(frozen=True)
@@ -285,6 +307,14 @@ class SubsetCodec:
 # element evaluators
 # ---------------------------------------------------------------------------
 
+def _permutation_guard(dimension: int) -> None:
+    if dimension > PERMUTATION_GUARD:
+        raise KernelError(
+            f"permutation enumeration capped at dimension {PERMUTATION_GUARD}, "
+            f"got {dimension}"
+        )
+
+
 def brownian_element(spec: BrownianSpec, idx) -> float:
     """Coefficient at a multi-index: sum over all permutations of the index
     entries of the product of per-slot powers.
@@ -293,10 +323,7 @@ def brownian_element(spec: BrownianSpec, idx) -> float:
     enumerated literally, so the dimension is capped at PERMUTATION_GUARD.
     """
     d = spec.dimension
-    if d > PERMUTATION_GUARD:
-        raise KernelError(
-            f"permutation enumeration capped at dimension {PERMUTATION_GUARD}, got {d}"
-        )
+    _permutation_guard(d)
     entries = _validated_index(idx, d)
     total = 0.0
     for perm in permutations(entries):
@@ -323,6 +350,28 @@ def cp_element(kernel: CPKernel, idx) -> float:
     for size, factor in zip(entries, kernel.factors):
         acc = acc * factor[size - 1]
     return float(acc.sum())
+
+
+@lru_cache(maxsize=PERMUTATION_GUARD)
+def _slot_orders(dimension: int) -> np.ndarray:
+    orders = np.array(list(permutations(range(dimension))), dtype=np.intp)
+    orders.setflags(write=False)
+    return orders
+
+
+def symmetrized_cp_element(kernel: SymmetrizedCPKernel, idx) -> float:
+    """Evaluate one kernel coefficient: the CP rank sum over every
+    permutation of the index entries.  The D! terms are enumerated like
+    brownian_element, capped at the same dimension, but as one array so
+    that symmetry sampling stays cheap up to the cap."""
+    d = kernel.dimension
+    _permutation_guard(d)
+    entries = _validated_index(idx, d, kernel.n_classes)
+    rows = np.asarray(entries, dtype=np.intp)[_slot_orders(d)] - 1  # (D!, D)
+    terms = np.ones((rows.shape[0], kernel.rank))
+    for m, factor in enumerate(kernel.factors):
+        terms *= factor[rows[:, m]]
+    return float(terms.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +437,16 @@ def constant_cp(value: float, dimension: int, n_classes: int) -> CPKernel:
     return CPKernel(tuple(factors))
 
 
+def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCPKernel:
+    """Exact rank-1 symmetrized CP form of a generalized Brownian kernel,
+    with factor m the power vector i**mu_m."""
+    if n_classes < 1:
+        raise KernelError("n_classes must be >= 1")
+    return SymmetrizedCPKernel(
+        tuple(_power_vector(n_classes, mu)[:, None] for mu in spec.exponents)
+    )
+
+
 # ---------------------------------------------------------------------------
 # dense expansions (verification oracles)
 # ---------------------------------------------------------------------------
@@ -436,10 +495,7 @@ def dense_from_spec(
     elif isinstance(spec, TableSpec):
         values = _load_table(spec.path, d, n_classes)
     elif isinstance(spec, BrownianSpec):
-        if d > PERMUTATION_GUARD:
-            raise KernelError(
-                f"permutation enumeration capped at dimension {PERMUTATION_GUARD}, got {d}"
-            )
+        _permutation_guard(d)
         pows = [_power_vector(n_classes, mu) for mu in spec.exponents]
         values = np.zeros((n_classes,) * d)
         # Each permutation assigns exponent slot perm[m] to mode m.
@@ -465,14 +521,21 @@ def dense_from_tt(
 
 
 def dense_from_cp(
-    kernel: CPKernel, *, element_budget: int = DENSE_ELEMENT_BUDGET
+    kernel: CPKernel | SymmetrizedCPKernel,
+    *,
+    element_budget: int = DENSE_ELEMENT_BUDGET,
 ) -> DenseKernel:
-    """Expand a CP kernel as the sum of its rank-1 terms."""
-    _check_budget(kernel.n_classes, kernel.dimension, element_budget)
-    values = np.zeros((kernel.n_classes,) * kernel.dimension)
+    """Expand a CP kernel as the sum of its rank-1 terms; a symmetrized
+    CP kernel also sums that array over every permutation of its modes."""
+    d = kernel.dimension
+    _check_budget(kernel.n_classes, d, element_budget)
+    values = np.zeros((kernel.n_classes,) * d)
     for r in range(kernel.rank):
         term = kernel.factors[0][:, r]
         for factor in kernel.factors[1:]:
             term = np.multiply.outer(term, factor[:, r])
         values += term
+    if isinstance(kernel, SymmetrizedCPKernel):
+        _permutation_guard(d)
+        values = sum(values.transpose(perm) for perm in permutations(range(d)))
     return DenseKernel(values)

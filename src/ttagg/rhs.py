@@ -6,7 +6,11 @@ proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(N**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through padded FFTs of the weighted core fibers and the loss
-through mode contractions, for O(N log N) work per rank pair.
+through mode contractions, for O(N log N) work per rank pair.  A
+symmetrized CP kernel sums the plain CP form over all d! slot orders;
+every order gives the same index-sum convolution, so its gain is one
+d-fold convolution with weight 1, and its loss is a closed form in
+d moments of the state per rank.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from .kernels import (
     CPKernel,
     DenseKernel,
     KernelError,
+    SymmetrizedCPKernel,
     TTKernel,
     cp_element,
+    symmetrized_cp_element,
     tt_element,
 )
 from .parallel import SERIAL_PLAN, ExecutionPlan, map_blocked, run_blocked
@@ -40,6 +46,7 @@ __all__ = [
     "rhs_tt_Q",
     "rhs_cp_P",
     "rhs_cp_Q",
+    "rhs_gain_loss",
     "rhs_total",
 ]
 
@@ -83,6 +90,8 @@ def kernel_element(kernel, idx) -> float:
     """Evaluate one coefficient of any kernel representation."""
     if isinstance(kernel, TTKernel):
         return tt_element(kernel, idx)
+    if isinstance(kernel, SymmetrizedCPKernel):
+        return symmetrized_cp_element(kernel, idx)
     if isinstance(kernel, CPKernel):
         return cp_element(kernel, idx)
     if isinstance(kernel, DenseKernel):
@@ -124,7 +133,9 @@ class KernelSet:
             d = int(order)
             if d < 2:
                 raise KernelError(f"collision order must be >= 2, got {d}")
-            if not isinstance(kernel, (TTKernel, CPKernel, DenseKernel)):
+            if not isinstance(
+                kernel, (TTKernel, SymmetrizedCPKernel, CPKernel, DenseKernel)
+            ):
                 raise KernelError(
                     f"unsupported kernel representation {type(kernel).__name__}"
                 )
@@ -343,14 +354,18 @@ def rhs_tt_Q(
 # ---------------------------------------------------------------------------
 
 def rhs_cp_P(
-    kernel: CPKernel, state: ConcentrationState, plan: ExecutionPlan | None = None
+    kernel: CPKernel | SymmetrizedCPKernel,
+    state: ConcentrationState,
+    plan: ExecutionPlan | None = None,
 ) -> np.ndarray:
-    """Gain vector through a CP kernel, O(N d R log N).
+    """Gain vector through a CP or symmetrized CP kernel, O(N d R log N).
 
     Each rank contributes an ordinary d-fold convolution of its weighted
     factor columns; spectra multiply elementwise (scalars per bin, no
     matrix chain), are summed over ranks, and a single inverse transform
-    recovers the truncated gain.
+    recovers the truncated gain.  A CP kernel's gain carries the 1/d! of
+    the gain sum; a symmetrized kernel's d! slot orders each contribute
+    the same convolution, which cancels it, so its weight is 1.
     """
     plan = plan or SERIAL_PLAN
     d, n_classes = _check_pair(kernel, state)
@@ -381,35 +396,62 @@ def rhs_cp_P(
     run_blocked(n_bins, workers, chain_chunk)
 
     coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
-    inv_fact = 1.0 / math.factorial(d)
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
     p = np.zeros(n_classes)
 
     def assemble_chunk(lo, hi):
-        p[d - 1 + lo : d - 1 + hi] = coeffs[d + lo : d + hi] * inv_fact
+        p[d - 1 + lo : d - 1 + hi] = coeffs[d + lo : d + hi] * scale
 
     run_blocked(n_classes - d + 1, workers, assemble_chunk)
     return p
 
 
+def _factor_moments(factors, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
+    # S[m, r] = sum_i factors[m][i, r] * n_i for every given factor in one
+    # blocked pass; block partials combine in ascending block order.
+    parts = map_blocked(
+        n.size,
+        plan.block_workers,
+        lambda lo, hi: np.stack([n[lo:hi] @ f[lo:hi] for f in factors]),
+        ordered=plan.deterministic_reduction,
+    )
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
 def rhs_cp_Q(
-    kernel: CPKernel, state: ConcentrationState, plan: ExecutionPlan | None = None
+    kernel: CPKernel | SymmetrizedCPKernel,
+    state: ConcentrationState,
+    plan: ExecutionPlan | None = None,
 ) -> np.ndarray:
-    """Loss vector through a CP kernel: per-rank scalar contractions."""
+    """Loss vector through a CP or symmetrized CP kernel, O(N d R).
+
+    CP: the first d-1 factors are contracted with the state into per-rank
+    scalars and the last factor supplies the per-size tail, which assumes
+    a symmetric kernel.  Symmetrized CP: with S_{m,r} = sum_i f_{m,r}(i) n_i,
+    the loss is Q_k = -n_k sum_r sum_m f_{m,r}(k) prod_{m' != m} S_{m',r};
+    the (d-1)! orders of the other slots cancel the 1/(d-1)!, and no
+    symmetry is assumed.
+    """
     plan = plan or SERIAL_PLAN
     d, _ = _check_pair(kernel, state)
     n = state.n
+    if isinstance(kernel, SymmetrizedCPKernel):
+        moments = _factor_moments(kernel.factors, n, plan)
+        tail = np.zeros(n.size)
+        for m, factor in enumerate(kernel.factors):
+            others = np.ones(kernel.rank)
+            for other in range(d):
+                if other != m:
+                    others = others * moments[other]
+            tail += factor @ others
+        return -(n * tail)
+    moments = _factor_moments(kernel.factors[: d - 1], n, plan)
     scalars = np.ones(kernel.rank)
     for mode in range(d - 1):
-        parts = map_blocked(
-            n.size,
-            plan.block_workers,
-            lambda lo, hi, f=kernel.factors[mode]: n[lo:hi] @ f[lo:hi],
-            ordered=plan.deterministic_reduction,
-        )
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        scalars = scalars * total
+        scalars = scalars * moments[mode]
     tail = kernel.factors[d - 1] @ scalars
     return -(n * tail) / math.factorial(d - 1)
 
@@ -418,6 +460,21 @@ def rhs_cp_Q(
 # combined right-hand side
 # ---------------------------------------------------------------------------
 
+def rhs_gain_loss(
+    kernel, state: ConcentrationState, plan: ExecutionPlan | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and loss of one kernel through the fastest path its
+    representation allows: TT, CP and symmetrized CP kernels use the
+    FFT-accelerated operators, dense kernels the direct sums."""
+    if isinstance(kernel, TTKernel):
+        return rhs_tt_P(kernel, state, plan), rhs_tt_Q(kernel, state, plan)
+    if isinstance(kernel, (CPKernel, SymmetrizedCPKernel)):
+        return rhs_cp_P(kernel, state, plan), rhs_cp_Q(kernel, state, plan)
+    if isinstance(kernel, DenseKernel):
+        return rhs_dense_P(kernel, state), rhs_dense_Q(kernel, state)
+    raise KernelError(f"unsupported kernel representation {type(kernel).__name__}")
+
+
 def rhs_total(
     kernels: KernelSet,
     state: ConcentrationState,
@@ -425,12 +482,8 @@ def rhs_total(
     *,
     breakdown: bool = False,
 ) -> RhsResult:
-    """Sum of gain and loss over every configured collision order.
-
-    Each order runs through the fastest path its representation allows:
-    TT and CP kernels use the FFT-accelerated operators, dense kernels
-    the direct sums.
-    """
+    """Sum of gain and loss over every configured collision order, each
+    through rhs_gain_loss."""
     if not kernels.orders:
         raise KernelError("no collision orders configured")
     if kernels.n_classes != state.n_classes:
@@ -442,16 +495,7 @@ def rhs_total(
     q = np.zeros(n_classes)
     per_order = {}
     for d in kernels.orders:
-        kernel = kernels[d]
-        if isinstance(kernel, TTKernel):
-            p_d = rhs_tt_P(kernel, state, plan)
-            q_d = rhs_tt_Q(kernel, state, plan)
-        elif isinstance(kernel, CPKernel):
-            p_d = rhs_cp_P(kernel, state, plan)
-            q_d = rhs_cp_Q(kernel, state, plan)
-        else:
-            p_d = rhs_dense_P(kernel, state)
-            q_d = rhs_dense_Q(kernel, state)
+        p_d, q_d = rhs_gain_loss(kernels[d], state, plan)
         p += p_d
         q += q_d
         if breakdown:

@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import ttagg.cli as cli
-from ttagg.kernels import TTKernel
+from ttagg.kernels import SymmetrizedCPKernel, TTKernel
 from ttagg.rhs import KernelSet
 
 
@@ -51,7 +52,10 @@ def test_simulate_zero_kernel_keeps_moments_constant(tmp_path):
 
     for step in range(6):
         assert (tmp_path / "out" / f"n_{step}.csv").exists()
-    assert (tmp_path / "out" / "run_manifest.json").exists()
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert set(manifest["versions"]) >= {"ttagg", "numpy", "scipy", "python"}
+    # the FFT backend decides the bits a manifest re-run reproduces
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_simulate_ternary_reference_matches_closed_form(tmp_path):
@@ -155,7 +159,10 @@ def test_verify_brownian_passes(tmp_path, capsys):
     )
     assert cli.main(["verify", "--config", config_path, "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "order 3" in out
+    assert "PASS" in out
+    # the run-time form and the paper's constructive TT, one line each
+    assert "order 3, symmetrized CP:" in out
+    assert "order 3, constructive TT:" in out
 
 
 def test_verify_pair_kernel_passes(tmp_path):
@@ -181,14 +188,28 @@ def test_verify_detects_corrupted_cores(tmp_path, monkeypatch, capsys):
 
     def corrupt(config):
         kernels = original(config)
-        tt = kernels[3]
-        cores = [c.copy() for c in tt.cores]
-        cores[1][0, 0, 0] += 0.37
-        return KernelSet({3: TTKernel(tuple(cores))})
+        factors = [f.copy() for f in kernels[3].factors]
+        factors[1][0, 0] += 0.37
+        return KernelSet({3: SymmetrizedCPKernel(tuple(factors))})
 
-    monkeypatch.setattr(cli, "build_kernel_set", corrupt)
-    assert cli.main(["verify", "--config", config_path]) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_kernel_set", corrupt)
+        assert cli.main(["verify", "--config", config_path]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+    # the constructive TT is checked too, though the run time does not use it
+    original_tt = cli.build_brownian_tt
+
+    def corrupt_tt(spec, n_classes):
+        cores = [c.copy() for c in original_tt(spec, n_classes).cores]
+        cores[1][0, 0, 0] += 0.37
+        return TTKernel(tuple(cores))
+
+    monkeypatch.setattr(cli, "build_brownian_tt", corrupt_tt)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "order 3, symmetrized CP:" in out and "order 3, constructive TT:" in out
 
 
 def test_simulate_with_oracle_gate(tmp_path, capsys):

@@ -16,7 +16,15 @@ from ttagg.config import (
     load_config,
 )
 from ttagg.integrator import InitialCondition, TimeGrid
-from ttagg.kernels import BrownianSpec, ConstantSpec, DenseKernel, TableSpec, TTKernel
+from ttagg.kernels import (
+    BrownianSpec,
+    ConstantSpec,
+    DenseKernel,
+    SymmetrizedCPKernel,
+    TableSpec,
+    TTKernel,
+    build_brownian_tt,
+)
 
 
 def minimal_dict(**overrides):
@@ -138,6 +146,14 @@ def test_build_kernel_set_representations(tmp_path):
     )
     kernels = build_kernel_set(config)
     assert isinstance(kernels[2], DenseKernel)
-    assert isinstance(kernels[3], TTKernel)
     np.testing.assert_array_equal(kernels[2].values, table)
-    assert kernels[3].ranks == (1, 3, 3, 1)
+    # Brownian kernels run on the rank-1 symmetrized CP form ...
+    assert isinstance(kernels[3], SymmetrizedCPKernel)
+    assert kernels[3].rank == 1
+    sizes = np.arange(1, 9, dtype=np.float64)
+    for factor, mu in zip(kernels[3].factors, (1 / 3, -1 / 3, 0.0)):
+        np.testing.assert_allclose(factor[:, 0], sizes**mu, rtol=1e-15)
+    # ... while the constructive TT keeps its binomial ranks
+    tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 8)
+    assert isinstance(tt, TTKernel)
+    assert tt.ranks == (1, 3, 3, 1)

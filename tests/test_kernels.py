@@ -13,9 +13,11 @@ from ttagg.kernels import (
     DenseKernel,
     KernelError,
     SubsetCodec,
+    SymmetrizedCPKernel,
     TableSpec,
     TTKernel,
     brownian_element,
+    brownian_symmetrized_cp,
     build_brownian_tt,
     constant_cp,
     constant_tt,
@@ -23,9 +25,11 @@ from ttagg.kernels import (
     dense_from_cp,
     dense_from_spec,
     dense_from_tt,
+    symmetrized_cp_element,
     tt_element,
     tt_max_rank_bound,
 )
+from ttagg.rhs import kernel_element
 
 
 def perm_sum(mu, idx):
@@ -395,3 +399,79 @@ def test_constant_builders_agree():
     for idx in ((1, 1, 1), (6, 3, 2)):
         assert tt_element(ttk, idx) == pytest.approx(3.5)
         assert cp_element(cpk, idx) == pytest.approx(3.5)
+
+
+# ---------------------------------------------------------------------------
+# symmetrized CP form
+# ---------------------------------------------------------------------------
+
+def test_brownian_symmetrized_cp_is_rank_one_power_vectors():
+    spec = BrownianSpec((0.5, -0.5, 0.25, 0.0))
+    kernel = brownian_symmetrized_cp(spec, 10)
+    assert isinstance(kernel, SymmetrizedCPKernel)
+    assert not isinstance(kernel, CPKernel)
+    assert (kernel.dimension, kernel.n_classes, kernel.rank) == (4, 10, 1)
+    sizes = np.arange(1, 11, dtype=np.float64)
+    for factor, mu in zip(kernel.factors, spec.exponents):
+        np.testing.assert_allclose(factor[:, 0], sizes**mu, rtol=1e-15)
+    with pytest.raises(KernelError, match="n_classes"):
+        brownian_symmetrized_cp(spec, 0)
+
+
+def test_symmetrized_element_equals_brownian_element():
+    rng = np.random.default_rng(83)
+    for d in (2, 3, 4, 5):
+        spec = BrownianSpec(tuple(rng.uniform(-1, 1, size=d)))
+        kernel = brownian_symmetrized_cp(spec, 50)
+        for _ in range(20):
+            idx = tuple(int(i) for i in rng.integers(1, 51, size=d))
+            ref = brownian_element(spec, idx)
+            assert symmetrized_cp_element(kernel, idx) == pytest.approx(ref, rel=1e-13)
+            assert kernel_element(kernel, idx) == pytest.approx(ref, rel=1e-13)
+
+
+def test_symmetrized_element_sums_every_slot_order():
+    # rank 2 with distinct factors: the plain CP product is not symmetric,
+    # the symmetrized coefficient is, and equals the literal permutation sum
+    rng = np.random.default_rng(89)
+    factors = tuple(rng.random((7, 2)) for _ in range(3))
+    kernel = SymmetrizedCPKernel(factors)
+    for idx in ((1, 2, 3), (7, 7, 1), (4, 4, 4)):
+        ref = sum(
+            sum(
+                factors[0][a - 1, r] * factors[1][b - 1, r] * factors[2][c - 1, r]
+                for r in range(2)
+            )
+            for a, b, c in permutations(idx)
+        )
+        got = symmetrized_cp_element(kernel, idx)
+        assert got == pytest.approx(ref, rel=1e-14)
+        for perm in permutations(idx):
+            assert symmetrized_cp_element(kernel, perm) == pytest.approx(got, rel=1e-14)
+
+
+def test_symmetrized_element_guards():
+    kernel = SymmetrizedCPKernel(tuple(np.ones((3, 1)) for _ in range(9)))
+    with pytest.raises(KernelError, match="capped"):
+        symmetrized_cp_element(kernel, (1,) * 9)
+    small = SymmetrizedCPKernel(tuple(np.ones((3, 1)) for _ in range(2)))
+    with pytest.raises(KernelError):
+        symmetrized_cp_element(small, (1, 4))
+    with pytest.raises(KernelError, match="shape"):
+        SymmetrizedCPKernel((np.ones((4, 2)), np.ones((4, 3))))
+
+
+def test_dense_from_symmetrized_cp():
+    spec = BrownianSpec((0.3, -0.7, 0.3))  # a repeated exponent
+    np.testing.assert_allclose(
+        dense_from_cp(brownian_symmetrized_cp(spec, 6)).values,
+        dense_from_spec(spec, 6).values,
+        rtol=1e-14,
+    )
+    rng = np.random.default_rng(97)
+    kernel = SymmetrizedCPKernel(tuple(rng.random((5, 2)) for _ in range(3)))
+    values = dense_from_cp(kernel).values
+    for idx in product(range(1, 6), repeat=3):
+        assert values[tuple(i - 1 for i in idx)] == pytest.approx(
+            symmetrized_cp_element(kernel, idx), rel=1e-13
+        )

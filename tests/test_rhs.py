@@ -11,6 +11,8 @@ from ttagg.kernels import (
     CPKernel,
     DenseKernel,
     KernelError,
+    SymmetrizedCPKernel,
+    brownian_symmetrized_cp,
     build_brownian_tt,
     constant_cp,
     constant_tt,
@@ -25,6 +27,7 @@ from ttagg.rhs import (
     rhs_cp_Q,
     rhs_dense_P,
     rhs_dense_Q,
+    rhs_gain_loss,
     rhs_total,
     rhs_tt_P,
     rhs_tt_Q,
@@ -217,6 +220,116 @@ def test_cp_paths_match_dense_oracle(order):
         state = ConcentrationState(rng.random(n_classes))
         assert rel_inf(rhs_cp_P(kernel, state), rhs_dense_P(dense, state)) < 1e-10
         assert rel_inf(rhs_cp_Q(kernel, state), rhs_dense_Q(dense, state)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# symmetrized CP fast paths
+# ---------------------------------------------------------------------------
+
+# N per order keeps the dense oracle small; N**5 at N = 12 is 2.5e5 elements
+_SYMMETRIZED_N = {2: 32, 3: 24, 4: 14, 5: 12}
+
+
+def symmetrized_cases(order, rng):
+    """Brownian kernels with negative and repeated exponents, and a rank-2
+    sum of random factors, each with its dense expansion."""
+    n_classes = _SYMMETRIZED_N[order]
+    negative = BrownianSpec(tuple(rng.uniform(-1, 0, size=order)))
+    repeated = BrownianSpec((0.5,) * (order - 1) + (-0.5,))
+    cases = [
+        (brownian_symmetrized_cp(spec, n_classes), dense_from_spec(spec, n_classes))
+        for spec in (negative, repeated)
+    ]
+    rank_two = SymmetrizedCPKernel(
+        tuple(rng.random((n_classes, 2)) for _ in range(order))
+    )
+    cases.append((rank_two, dense_from_cp(rank_two)))
+    return cases
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_symmetrized_paths_match_dense_oracle(order):
+    rng = np.random.default_rng(order * 101)
+    for kernel, dense in symmetrized_cases(order, rng):
+        for _ in range(3):
+            state = ConcentrationState(rng.random(kernel.n_classes))
+            assert rel_inf(rhs_cp_P(kernel, state), rhs_dense_P(dense, state)) < 1e-10
+            assert rel_inf(rhs_cp_Q(kernel, state), rhs_dense_Q(dense, state)) < 1e-10
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_symmetrized_brownian_matches_constructive_tt(order):
+    # beyond the dense budget the two exact forms still agree
+    rng = np.random.default_rng(order * 103)
+    n_classes = 1 << 12
+    spec = BrownianSpec(tuple(rng.uniform(-1, 1, size=order)))
+    state = ConcentrationState(rng.random(n_classes))
+    sym = brownian_symmetrized_cp(spec, n_classes)
+    tt = build_brownian_tt(spec, n_classes)
+    assert rel_inf(rhs_cp_P(sym, state), rhs_tt_P(tt, state)) <= 1e-12
+    assert rel_inf(rhs_cp_Q(sym, state), rhs_tt_Q(tt, state)) <= 1e-12
+
+
+def test_kernel_set_accepts_symmetrized_form_at_small_n():
+    rng = np.random.default_rng(107)
+    for n_classes in (2, 16, 64):
+        kernel = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)
+        assert KernelSet({3: kernel})[3] is kernel
+    rank_two = SymmetrizedCPKernel(tuple(rng.random((16, 2)) for _ in range(4)))
+    assert sample_symmetry_violation(rank_two) < 1e-12
+    KernelSet({4: rank_two})
+    # 7! terms per sampled coefficient, still checked at small N
+    seven = brownian_symmetrized_cp(BrownianSpec(tuple(rng.uniform(-1, 1, 7))), 8)
+    assert KernelSet({7: seven})[7] is seven
+
+
+def test_symmetrized_path_is_deterministic():
+    rng = np.random.default_rng(109)
+    kernel = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), 256)
+    state = ConcentrationState(rng.random(256))
+    plan = ExecutionPlan(workers=2)
+    first_p, first_q = rhs_gain_loss(kernel, state, plan)
+    for _ in range(3):
+        p, q = rhs_gain_loss(kernel, state, plan)
+        np.testing.assert_array_equal(p, first_p)
+        np.testing.assert_array_equal(q, first_q)
+
+
+def test_symmetrized_results_do_not_depend_on_worker_count():
+    rng = np.random.default_rng(113)
+    n_classes = 512
+    kernels = KernelSet(
+        {
+            3: brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes),
+            4: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n_classes),
+        }
+    )
+    state = ConcentrationState(rng.random(n_classes))
+    ref = rhs_total(kernels, state, ExecutionPlan(workers=1))
+    got = rhs_total(kernels, state, ExecutionPlan(workers=2))
+    assert rel_inf(got.p, ref.p) <= 1e-12
+    assert rel_inf(got.q, ref.q) <= 1e-12
+
+
+def test_symmetrized_mass_conservation_before_boundary_contact():
+    rng = np.random.default_rng(127)
+    n_classes = 256
+    sizes = np.arange(1, n_classes + 1, dtype=np.float64)
+    for mu in ((0.25, -0.25), (1 / 3, -1 / 3, 0.0), (0.5, -0.5, 0.25, 0.0)):
+        d = len(mu)
+        n = np.zeros(n_classes)
+        n[: n_classes // d] = rng.random(n_classes // d)
+        state = ConcentrationState(n)
+        kernel = brownian_symmetrized_cp(BrownianSpec(mu), n_classes)
+        result = rhs_total(KernelSet({d: kernel}), state)
+        gain_mass = sizes @ result.p
+        assert gain_mass > 0.0
+        assert abs(sizes @ result.s) <= 1e-12 * gain_mass
+
+
+def test_gain_loss_rejects_unknown_representation():
+    with pytest.raises(KernelError, match="unsupported"):
+        rhs_gain_loss(object(), monodisperse(8))
 
 
 # ---------------------------------------------------------------------------
