@@ -9,7 +9,6 @@ little-endian 64-bit floats or as whitespace-separated text.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 from .integrator import InitialCondition, TimeGrid
@@ -22,7 +21,7 @@ from .kernels import (
     constant_tt,
     dense_from_spec,
 )
-from .parallel import ExecutionPlan
+from .parallel import FFT_LENGTH_POLICIES, ExecutionPlan
 from .rhs import KernelSet
 
 __all__ = [
@@ -51,7 +50,7 @@ class SimulationConfig:
     record_every: int = 1
     output_dir: str = "out"
     workers: int = 1
-    fft_length_policy: str = "pow2"
+    fft_length_policy: str = "fast"
     seed: int = 0
     verify_oracle: bool = False
 
@@ -64,6 +63,11 @@ class SimulationConfig:
             raise ConfigError("record_every must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.fft_length_policy not in FFT_LENGTH_POLICIES:
+            raise ConfigError(
+                f"unknown fft_length_policy {self.fft_length_policy!r}; "
+                f"expected one of {', '.join(FFT_LENGTH_POLICIES)}"
+            )
         if not self.kernel_specs:
             raise ConfigError("at least one collision order must be configured")
         specs = {}
@@ -79,12 +83,6 @@ class SimulationConfig:
                 )
             specs[d] = spec
         object.__setattr__(self, "kernel_specs", specs)
-        if self.n_classes & (self.n_classes - 1):
-            warnings.warn(
-                f"N = {self.n_classes} is not a power of two; FFT padding is "
-                "less efficient",
-                UserWarning,
-            )
 
     def execution_plan(self) -> ExecutionPlan:
         return ExecutionPlan(
@@ -180,7 +178,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
             record_every=int(data.get("record_every", 1)),
             output_dir=str(data.get("output_dir", "out")),
             workers=int(data.get("workers", 1)),
-            fft_length_policy=str(data.get("fft_length_policy", "pow2")),
+            fft_length_policy=str(data.get("fft_length_policy", "fast")),
             seed=int(data.get("seed", 0)),
             verify_oracle=bool(data.get("verify_oracle", False)),
         )

@@ -2,9 +2,10 @@
 
 The size axis 1..N is split into P contiguous blocks, block p owning
 sizes (p-1)*N/P + 1 through p*N/P.  Parallel work inside the fast
-right-hand-side paths follows the same decomposition: weighting and
-output assembly run per block, the independent fiber transforms and the
-per-frequency chain products are chunked across a pinned thread pool.
+right-hand-side paths follows the same decomposition: fiber weighting
+and the loss contractions run per block and the per-frequency chain
+products per bin range, on a pinned thread pool, while the independent
+fiber transforms go to the FFT backend's own threads.
 Reductions combine block partials in ascending block order, so results
 depend on the worker count only at roundoff level.
 """
@@ -14,16 +15,18 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .kernels import KernelError, TTKernel
 
 __all__ = [
     "PartitionPlan",
     "ExecutionPlan",
+    "FFT_LENGTH_POLICIES",
     "SERIAL_PLAN",
     "make_partition",
     "block_core",
@@ -79,53 +82,49 @@ def block_core(kernel: TTKernel, level: int, p: int, partition: PartitionPlan) -
     return kernel.cores[level - 1][:, partition.block_slice(p), :]
 
 
+FFT_LENGTH_POLICIES = ("fast", "pow2")
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a right-hand-side evaluation is executed.
 
-    fft_length_policy: "pow2" pads transforms to the next power of two at
-    least d*N + 1; "min" uses exactly d*N + 1.  Either length keeps index
-    sums up to d*N alias-free.
+    `workers` chunks the weighting and per-frequency combine phases over a
+    pinned thread pool and hands the batched transforms to the FFT backend
+    with up to that many threads.  Block partials of reductions combine in
+    ascending block order, so the worker count perturbs results at
+    roundoff level only.
 
-    The two axis toggles disable the corresponding parallel phase (the
-    batched rank-pair fiber transforms, and the block-chunked weighting /
-    frequency-chain / scatter work).  With deterministic_reduction (the
-    default) block partials are combined in ascending block order, so the
-    worker count perturbs results at roundoff level only; without it they
-    combine in completion order.
+    fft_length_policy picks the transform length for an order-d gain on
+    N size classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d
+    sizes fill columns 0..d(N-1) and any length of at least d(N-1) + 1 is
+    alias-free.  "fast" (the default) takes the smallest 5-smooth length
+    at or above that bound; "pow2" the smallest power of two.
     """
 
     workers: int = 1
-    fft_length_policy: str = "pow2"
-    parallel_fft: bool = True
-    parallel_blocks: bool = True
-    deterministic_reduction: bool = True
+    fft_length_policy: str = "fast"
 
     def __post_init__(self):
         if self.workers < 1:
             raise KernelError("worker count must be >= 1")
-        if self.fft_length_policy not in ("pow2", "min"):
+        if self.fft_length_policy not in FFT_LENGTH_POLICIES:
             raise KernelError(
-                f"unknown fft_length_policy {self.fft_length_policy!r}"
+                f"unknown fft_length_policy {self.fft_length_policy!r}; "
+                f"expected one of {', '.join(FFT_LENGTH_POLICIES)}"
             )
 
     def fft_length(self, order: int, n_classes: int) -> int:
-        needed = order * n_classes + 1
-        if self.fft_length_policy == "min":
-            return needed
-        return 1 << (needed - 1).bit_length()
+        needed = order * (n_classes - 1) + 1
+        if self.fft_length_policy == "pow2":
+            return 1 << (needed - 1).bit_length()
+        return next_fast_len(needed, real=True)
 
     @property
     def fft_workers(self) -> int:
         # transform backends gain nothing from oversubscription; per-transform
         # results do not depend on this, so capping cannot perturb outputs
-        if not self.parallel_fft:
-            return 1
         return min(self.workers, os.cpu_count() or 1)
-
-    @property
-    def block_workers(self) -> int:
-        return self.workers if self.parallel_blocks else 1
 
 
 SERIAL_PLAN = ExecutionPlan()
@@ -160,12 +159,9 @@ def run_blocked(total: int, workers: int, fn) -> None:
         fut.result()
 
 
-def map_blocked(total: int, workers: int, fn, ordered: bool = True) -> list:
-    """Collect fn(lo, hi) over contiguous chunks.
-
-    With `ordered` (the default) partials come back in ascending chunk
-    order, keeping reductions over them reproducible for any worker count;
-    otherwise they arrive in completion order.
+def map_blocked(total: int, workers: int, fn) -> list:
+    """Collect fn(lo, hi) over contiguous chunks, in ascending chunk order,
+    so reductions over the partials are reproducible for any worker count.
     """
     if workers <= 1 or total <= 1:
         return [fn(0, total)]
@@ -174,9 +170,7 @@ def map_blocked(total: int, workers: int, fn, ordered: bool = True) -> list:
     if len(pairs) == 1:
         return [fn(*pairs[0])]
     futures = [_pool(workers).submit(fn, lo, hi) for lo, hi in pairs]
-    if ordered:
-        return [fut.result() for fut in futures]
-    return [fut.result() for fut in as_completed(futures)]
+    return [fut.result() for fut in futures]
 
 
 # ---------------------------------------------------------------------------

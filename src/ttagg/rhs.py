@@ -5,8 +5,10 @@ all d-tuples of sizes summing to k; the loss vector drains size k in
 proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(N**d) and serve as ground truth; the tensor-train and CP paths push
-the gain through padded FFTs of the weighted core fibers and the loss
-through mode contractions, for O(N log N) work per rank pair.  A
+the gain through one shared FFT scaffold (`_fft_gain`: weighted fibers,
+size i stored at slot i-1, zero-padded to an alias-free length of at
+least d(N-1) + 1) and the loss through mode contractions, for
+O(N log N) work per rank pair.  A
 symmetrized CP kernel sums the plain CP form over all d! slot orders;
 every order gives the same index-sum convolution, so its gain is one
 d-fold convolution with weight 1, and its loss is a closed form in
@@ -239,89 +241,107 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# FFT gain scaffold shared by the TT and CP paths
+# ---------------------------------------------------------------------------
+
+def _fft_gain(
+    groups, combine, scale: float, n: np.ndarray, order: int, plan: ExecutionPlan
+) -> np.ndarray:
+    """Truncated order-d gain from FFT convolutions of weighted fibers.
+
+    Every leading index of an array in `groups` is one fiber over sizes
+    1..N (the last axis).  Pipeline: (1) weight each fiber by the
+    concentrations into a zeroed (rows, L) buffer, size i at column i-1;
+    (2) transform all rows at once; (3) `combine(spectra)` reduces the
+    per-group spectra, sliced to a range of frequency bins, to one
+    spectrum; (4) inverse-transform; (5) index sum k of d sizes sits at
+    column k - d, so columns 0..N-d give p_d..p_N, times `scale`.  The
+    largest index sum fills column d(N-1), so the plan's length
+    L >= d(N-1) + 1 keeps every column alias-free.
+
+    Weighting is chunked along the size axis and the combine along
+    frequency bins; each bin's arithmetic is fixed, so the output does not
+    depend on the worker count.
+    """
+    n_classes = n.size
+    length = plan.fft_length(order, n_classes)
+    row_counts = [math.prod(group.shape[:-1]) for group in groups]
+    buf = np.zeros((sum(row_counts), length))
+    views = _split_rows(buf, groups, row_counts)
+
+    def weight_chunk(lo, hi):
+        for group, view in zip(groups, views):
+            np.multiply(group[..., lo:hi], n[lo:hi], out=view[..., lo:hi])
+
+    run_blocked(n_classes, plan.workers, weight_chunk)
+
+    spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
+    spec_groups = _split_rows(spectra, groups, row_counts)
+    n_bins = spectra.shape[1]
+    out_spec = np.empty(n_bins, dtype=np.complex128)
+
+    def combine_chunk(lo, hi):
+        out_spec[lo:hi] = combine([spec[..., lo:hi] for spec in spec_groups])
+
+    run_blocked(n_bins, plan.workers, combine_chunk)
+
+    coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
+    p = np.zeros(n_classes)
+    p[order - 1:] = coeffs[: max(n_classes - order + 1, 0)] * scale
+    return p
+
+
+def _split_rows(array, groups, row_counts):
+    # one view of `array` per group, with the group's fiber indices restored
+    parts = np.split(array, np.cumsum(row_counts)[:-1])
+    return [part.reshape(g.shape[:-1] + (-1,)) for g, part in zip(groups, parts)]
+
+
+# ---------------------------------------------------------------------------
 # tensor-train fast paths
 # ---------------------------------------------------------------------------
+
+def _tt_chain(spectra):
+    # per bin, chain the cores' R_prev x R_next spectral matrices left to
+    # right into a scalar; spectra[lam] has shape (R_prev, R_next, bins)
+    v = spectra[0][0]
+    for spec in spectra[1:]:
+        acc = v[0] * spec[0]
+        for rp in range(1, spec.shape[0]):
+            acc += v[rp] * spec[rp]
+        v = acc
+    return v[0]
+
 
 def rhs_tt_P(
     kernel: TTKernel, state: ConcentrationState, plan: ExecutionPlan | None = None
 ) -> np.ndarray:
     """Gain vector through the TT kernel, O(N d R^2 log N).
 
-    Pipeline: (1) weight every core fiber by the concentrations, storing
-    size i at array position i; (2) zero-pad to the plan's FFT length
-    L >= d*N + 1 so index sums up to d*N stay alias-free; (3) transform
-    all fibers; (4) per frequency bin, chain the R_prev x R_next spectral
-    matrices left to right into a scalar; (5) inverse-transform; (6) read
-    index sums d..N into output slots d..N, scaled by 1/d!.
-
-    Weighting and assembly are chunked along the size axis, fiber
-    transforms across the batch, and the chain along frequency bins; each
-    bin's arithmetic is fixed, so the output does not depend on the
-    worker count.
+    Each of the R_prev * R_next fibers core[rp, :, rn] of every core is
+    weighted by the concentrations and transformed; per frequency bin the
+    spectral matrices chain into a scalar, and one inverse transform
+    gives the index-sum convolution, scaled by 1/d!.  See `_fft_gain` for
+    the layout and the alias-free transform length.
     """
-    plan = plan or SERIAL_PLAN
-    d, n_classes = _check_pair(kernel, state)
-    length = plan.fft_length(d, n_classes)
-    workers = plan.block_workers
-
-    ranks = kernel.ranks
-    row_counts = [ranks[lam] * ranks[lam + 1] for lam in range(d)]
-    offsets = np.concatenate([[0], np.cumsum(row_counts)])
-    buf = np.zeros((int(offsets[-1]), length))
-
-    n = state.n
-
-    def weight_chunk(lo, hi):
-        for lam, core in enumerate(kernel.cores):
-            rows = slice(int(offsets[lam]), int(offsets[lam + 1]))
-            block = core[:, lo:hi, :] * n[lo:hi][None, :, None]
-            buf[rows, 1 + lo : 1 + hi] = block.transpose(0, 2, 1).reshape(
-                row_counts[lam], hi - lo
-            )
-
-    run_blocked(n_classes, workers, weight_chunk)
-
-    spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
-    n_bins = spectra.shape[1]
-    out_spec = np.empty(n_bins, dtype=np.complex128)
-
-    def chain_chunk(lo, hi):
-        base = int(offsets[0])
-        v = [spectra[base + r, lo:hi] for r in range(ranks[1])]
-        for lam in range(1, d):
-            r_prev, r_next = ranks[lam], ranks[lam + 1]
-            base = int(offsets[lam])
-            new = []
-            for rn in range(r_next):
-                acc = v[0] * spectra[base + rn, lo:hi]
-                for rp in range(1, r_prev):
-                    acc += v[rp] * spectra[base + rp * r_next + rn, lo:hi]
-                new.append(acc)
-            v = new
-        out_spec[lo:hi] = v[0]
-
-    run_blocked(n_bins, workers, chain_chunk)
-
-    coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
-    inv_fact = 1.0 / math.factorial(d)
-    p = np.zeros(n_classes)
-
-    def assemble_chunk(lo, hi):
-        p[d - 1 + lo : d - 1 + hi] = coeffs[d + lo : d + hi] * inv_fact
-
-    run_blocked(n_classes - d + 1, workers, assemble_chunk)
-    return p
+    d, _ = _check_pair(kernel, state)
+    return _fft_gain(
+        [core.transpose(0, 2, 1) for core in kernel.cores],
+        _tt_chain,
+        1.0 / math.factorial(d),
+        state.n,
+        d,
+        plan or SERIAL_PLAN,
+    )
 
 
 def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # V[rp, rn] = sum_i core[rp, i, rn] * n_i; with deterministic reduction
-    # the block partials combine in ascending block order, so the worker
-    # count only perturbs roundoff.
+    # V[rp, rn] = sum_i core[rp, i, rn] * n_i; the block partials combine
+    # in ascending block order, so the worker count only perturbs roundoff.
     parts = map_blocked(
         core.shape[1],
-        plan.block_workers,
+        plan.workers,
         lambda lo, hi: np.einsum("rns,n->rs", core[:, lo:hi, :], n[lo:hi]),
-        ordered=plan.deterministic_reduction,
     )
     total = parts[0]
     for part in parts[1:]:
@@ -353,6 +373,15 @@ def rhs_tt_Q(
 # CP fast paths
 # ---------------------------------------------------------------------------
 
+def _cp_product(spectra):
+    # per bin, multiply the modes' spectra and sum over ranks;
+    # spectra[m] has shape (R, bins)
+    acc = spectra[0] * spectra[1]
+    for spec in spectra[2:]:
+        acc *= spec
+    return acc.sum(axis=0)
+
+
 def rhs_cp_P(
     kernel: CPKernel | SymmetrizedCPKernel,
     state: ConcentrationState,
@@ -363,47 +392,21 @@ def rhs_cp_P(
     Each rank contributes an ordinary d-fold convolution of its weighted
     factor columns; spectra multiply elementwise (scalars per bin, no
     matrix chain), are summed over ranks, and a single inverse transform
-    recovers the truncated gain.  A CP kernel's gain carries the 1/d! of
-    the gain sum; a symmetrized kernel's d! slot orders each contribute
-    the same convolution, which cancels it, so its weight is 1.
+    recovers the truncated gain (layout and length as in `_fft_gain`).  A
+    CP kernel's gain carries the 1/d! of the gain sum; a symmetrized
+    kernel's d! slot orders each contribute the same convolution, which
+    cancels it, so its weight is 1.
     """
-    plan = plan or SERIAL_PLAN
-    d, n_classes = _check_pair(kernel, state)
-    length = plan.fft_length(d, n_classes)
-    workers = plan.block_workers
-    rank = kernel.rank
-
-    buf = np.zeros((d * rank, length))
-    n = state.n
-
-    def weight_chunk(lo, hi):
-        for mode, factor in enumerate(kernel.factors):
-            rows = slice(mode * rank, (mode + 1) * rank)
-            buf[rows, 1 + lo : 1 + hi] = (factor[lo:hi] * n[lo:hi, None]).T
-
-    run_blocked(n_classes, workers, weight_chunk)
-
-    spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
-    n_bins = spectra.shape[1]
-    out_spec = np.empty(n_bins, dtype=np.complex128)
-
-    def chain_chunk(lo, hi):
-        acc = spectra[0:rank, lo:hi].copy()
-        for mode in range(1, d):
-            acc *= spectra[mode * rank : (mode + 1) * rank, lo:hi]
-        out_spec[lo:hi] = acc.sum(axis=0)
-
-    run_blocked(n_bins, workers, chain_chunk)
-
-    coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
+    d, _ = _check_pair(kernel, state)
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
-    p = np.zeros(n_classes)
-
-    def assemble_chunk(lo, hi):
-        p[d - 1 + lo : d - 1 + hi] = coeffs[d + lo : d + hi] * scale
-
-    run_blocked(n_classes - d + 1, workers, assemble_chunk)
-    return p
+    return _fft_gain(
+        [factor.T for factor in kernel.factors],
+        _cp_product,
+        scale,
+        state.n,
+        d,
+        plan or SERIAL_PLAN,
+    )
 
 
 def _factor_moments(factors, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
@@ -411,9 +414,8 @@ def _factor_moments(factors, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
     # blocked pass; block partials combine in ascending block order.
     parts = map_blocked(
         n.size,
-        plan.block_workers,
+        plan.workers,
         lambda lo, hi: np.stack([n[lo:hi] @ f[lo:hi] for f in factors]),
-        ordered=plan.deterministic_reduction,
     )
     total = parts[0]
     for part in parts[1:]:

@@ -88,9 +88,21 @@ def test_config_validation():
         config_from_dict(minimal_dict(initial={"kind": "vector"}))
 
 
-def test_non_power_of_two_warns():
-    with pytest.warns(UserWarning, match="power of two"):
-        config_from_dict(minimal_dict(N=24))
+def test_fft_length_policy_default_and_validation():
+    assert config_from_dict(minimal_dict()).fft_length_policy == "fast"
+    pow2 = config_from_dict(minimal_dict(fft_length_policy="pow2"))
+    assert pow2.execution_plan().fft_length(3, 1024) == 4096
+    with pytest.raises(ConfigError, match="'min'.*fast, pow2"):
+        config_from_dict(minimal_dict(fft_length_policy="min"))
+    with pytest.raises(ConfigError, match="fast, pow2"):
+        SimulationConfig(
+            n_classes=16,
+            dimension=3,
+            kernel_specs={3: BrownianSpec((1 / 3, -1 / 3, 0.0))},
+            initial=InitialCondition.monodisperse(1.0),
+            time=TimeGrid(0.0, 1e-3, 10),
+            fft_length_policy="POW2",
+        )
 
 
 def test_vector_initial_condition_round_trip():

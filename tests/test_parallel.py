@@ -58,22 +58,39 @@ def test_block_core_slabs_reassemble_the_core():
 def test_execution_plan_validation_and_fft_lengths():
     with pytest.raises(KernelError):
         ExecutionPlan(workers=0)
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="fast, pow2"):
         ExecutionPlan(fft_length_policy="welch")
     plan = ExecutionPlan()
-    assert plan.fft_length(3, 1024) == 4096
-    assert plan.fft_length(2, 2048) == 8192  # 4097 rounds up to the next power
-    exact = ExecutionPlan(fft_length_policy="min")
-    assert exact.fft_length(3, 1024) == 3073
+    assert plan.fft_length_policy == "fast"
+    assert plan.fft_length(3, 1024) == 3072  # needs 3070
+    assert plan.fft_length(2, 2048) == 4096  # needs 4095
+    pow2 = ExecutionPlan(fft_length_policy="pow2")
+    assert pow2.fft_length(3, 1024) == 4096
+    assert pow2.fft_length(2, 2048) == 4096
+    # the benchmark shapes: D = 3 at N = 2^17, D = 4 at N = 2^15
+    assert plan.fft_length(3, 1 << 17) == 3 << 17
+    assert plan.fft_length(4, 1 << 15) == 1 << 17
+    # the FFT backend's threads are capped by the core count
+    assert 1 <= ExecutionPlan(workers=8).fft_workers <= 8
+    assert ExecutionPlan(workers=1).fft_workers == 1
 
 
-def test_execution_plan_axis_toggles():
-    plan = ExecutionPlan(workers=8, parallel_fft=False, parallel_blocks=False)
-    assert plan.fft_workers == 1
-    assert plan.block_workers == 1
-    full = ExecutionPlan(workers=8)
-    assert full.block_workers == 8
-    assert 1 <= full.fft_workers <= 8
+def _is_5_smooth(value):
+    for prime in (2, 3, 5):
+        while value % prime == 0:
+            value //= prime
+    return value == 1
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("n_classes", [2, 3, 24, 100, 1000, 1 << 12, 12345])
+def test_fast_fft_length_is_5_smooth_alias_free_and_at_most_pow2(order, n_classes):
+    needed = order * (n_classes - 1) + 1
+    fast = ExecutionPlan(fft_length_policy="fast").fft_length(order, n_classes)
+    pow2 = ExecutionPlan(fft_length_policy="pow2").fft_length(order, n_classes)
+    assert _is_5_smooth(fast)
+    assert needed <= fast <= pow2
+    assert pow2 & (pow2 - 1) == 0 and pow2 // 2 < needed
 
 
 def test_run_blocked_covers_range_without_overlap():

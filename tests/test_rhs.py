@@ -306,9 +306,10 @@ def test_symmetrized_results_do_not_depend_on_worker_count():
     )
     state = ConcentrationState(rng.random(n_classes))
     ref = rhs_total(kernels, state, ExecutionPlan(workers=1))
-    got = rhs_total(kernels, state, ExecutionPlan(workers=2))
-    assert rel_inf(got.p, ref.p) <= 1e-12
-    assert rel_inf(got.q, ref.q) <= 1e-12
+    for workers in (2, 4):
+        got = rhs_total(kernels, state, ExecutionPlan(workers=workers))
+        assert rel_inf(got.p, ref.p) <= 1e-12
+        assert rel_inf(got.q, ref.q) <= 1e-12
 
 
 def test_symmetrized_mass_conservation_before_boundary_contact():
@@ -453,30 +454,60 @@ def test_results_do_not_depend_on_worker_count():
         assert rel_inf(got, ref) <= 1e-12
 
 
-def test_disabled_parallel_axes_and_loose_reduction_agree():
-    rng = np.random.default_rng(74)
-    n_classes = 64
-    kernels = KernelSet(
-        {3: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)}
-    )
-    state = ConcentrationState(rng.random(n_classes))
-    ref = rhs_total(kernels, state, ExecutionPlan(workers=1)).s
-    variants = [
-        ExecutionPlan(workers=4, parallel_fft=False),
-        ExecutionPlan(workers=4, parallel_blocks=False),
-        ExecutionPlan(workers=4, deterministic_reduction=False),
-    ]
-    for plan in variants:
-        assert rel_inf(rhs_total(kernels, state, plan).s, ref) <= 1e-12
-
-
 def test_fft_length_policies_agree():
     rng = np.random.default_rng(73)
-    kernel = build_brownian_tt(BrownianSpec((0.5, -0.5)), 48)
     state = ConcentrationState(rng.random(48))
-    pow2 = rhs_tt_P(kernel, state, ExecutionPlan(fft_length_policy="pow2"))
-    exact = rhs_tt_P(kernel, state, ExecutionPlan(fft_length_policy="min"))
-    assert rel_inf(exact, pow2) <= 1e-12
+    fast, pow2 = (ExecutionPlan(fft_length_policy=p) for p in ("fast", "pow2"))
+    assert fast.fft_length(3, 48) < pow2.fft_length(3, 48)  # 144 against 256
+    tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
+    assert rel_inf(rhs_tt_P(tt, state, fast), rhs_tt_P(tt, state, pow2)) <= 1e-12
+    sym = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
+    assert rel_inf(rhs_cp_P(sym, state, fast), rhs_cp_P(sym, state, pow2)) <= 1e-12
+
+
+# N per order keeps the dense oracle small
+_ALIAS_N = {2: 40, 3: 24, 4: 14, 5: 10}
+
+
+def alias_cases(order):
+    """TT, CP and symmetrized CP gains of one order, each with its dense
+    oracle, on a full-support state (n_N != 0, so index sum d*N is hit)."""
+    rng = np.random.default_rng(order * 131)
+    n_classes = _ALIAS_N[order]
+    spec = BrownianSpec(tuple(rng.uniform(-1, 1, size=order)))
+    dense_spec = dense_from_spec(spec, n_classes)
+    cp = CPKernel(tuple(rng.random((n_classes, 2)) for _ in range(order)))
+    cases = [
+        (rhs_tt_P, build_brownian_tt(spec, n_classes), dense_spec),
+        (rhs_cp_P, brownian_symmetrized_cp(spec, n_classes), dense_spec),
+        (rhs_cp_P, cp, dense_from_cp(cp)),
+    ]
+    state = ConcentrationState(rng.random(n_classes) + 0.5)
+    return cases, state
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_gain_is_alias_free_at_the_minimal_length(order, monkeypatch):
+    # size i sits at slot i-1, so index sums fill slots 0..d(N-1)
+    monkeypatch.setattr(ExecutionPlan, "fft_length", lambda self, d, n: d * (n - 1) + 1)
+    cases, state = alias_cases(order)
+    for gain, kernel, dense in cases:
+        assert rel_inf(gain(kernel, state), rhs_dense_P(dense, state)) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_one_slot_shorter_aliases_into_the_smallest_gain(order, monkeypatch):
+    # at L = d(N-1) the index sum d*N, the d-tuple (N, ..., N), wraps onto
+    # slot 0, which holds k = d; every other slot stays exact
+    monkeypatch.setattr(ExecutionPlan, "fft_length", lambda self, d, n: d * (n - 1))
+    cases, state = alias_cases(order)
+    corner = (state.n_classes - 1,) * order
+    for gain, kernel, dense in cases:
+        got, ref = gain(kernel, state), rhs_dense_P(dense, state)
+        wrapped = dense.values[corner] * state.n[-1] ** order / math.factorial(order)
+        assert wrapped > 1e-6 * abs(ref).max()
+        assert got[order - 1] - ref[order - 1] == pytest.approx(wrapped, rel=1e-8)
+        assert rel_inf(got[order:], ref[order:]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
