@@ -1,5 +1,7 @@
 """Block decomposition, execution plans, and the scaling harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,17 @@ def test_execution_plan_validation_and_fft_lengths():
     # the benchmark shapes: D = 3 at N = 2^17, D = 4 at N = 2^15
     assert plan.fft_length(3, 1 << 17) == 3 << 17
     assert plan.fft_length(4, 1 << 15) == 1 << 17
-    # the FFT backend's threads are capped by the core count
-    assert 1 <= ExecutionPlan(workers=8).fft_workers <= 8
+
+
+def test_execution_plan_axis_toggles():
+    # the worker count is the one parallel axis left: it sets the pool
+    # size, and the FFT backend's threads are capped by the core count
+    assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+        "workers",
+        "fft_length_policy",
+    ]
+    full = ExecutionPlan(workers=8)
+    assert 1 <= full.fft_workers <= 8
     assert ExecutionPlan(workers=1).fft_workers == 1
 
 

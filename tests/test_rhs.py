@@ -454,6 +454,25 @@ def test_results_do_not_depend_on_worker_count():
         assert rel_inf(got, ref) <= 1e-12
 
 
+def test_disabled_parallel_axes_and_loose_reduction_agree():
+    # the serial plan (one worker) against parallel plans under both length
+    # policies: workers and transform length move results by roundoff only
+    rng = np.random.default_rng(74)
+    n_classes = 64
+    kernels = KernelSet(
+        {3: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)}
+    )
+    state = ConcentrationState(rng.random(n_classes))
+    ref = rhs_total(kernels, state, ExecutionPlan(workers=1)).s
+    variants = [
+        ExecutionPlan(workers=4),
+        ExecutionPlan(workers=4, fft_length_policy="pow2"),
+        ExecutionPlan(workers=1, fft_length_policy="pow2"),
+    ]
+    for plan in variants:
+        assert rel_inf(rhs_total(kernels, state, plan).s, ref) <= 1e-12
+
+
 def test_fft_length_policies_agree():
     rng = np.random.default_rng(73)
     state = ConcentrationState(rng.random(48))
