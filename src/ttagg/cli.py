@@ -117,7 +117,10 @@ def cmd_simulate(config_path: str, output_dir: str | None = None,
 def _run_verification(config, seed: int | None = None) -> int:
     """Compare the run-time kernel paths against dense oracles on random
     states; Brownian orders also check the constructive TT, which the
-    run time does not use.  One line per order and representation."""
+    run time does not use.  One line per order and representation.
+
+    Five states occupy every size; a sixth is zero above max(1, N // 4),
+    so the paths trimmed to the occupied sizes are checked too."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -130,6 +133,9 @@ def _run_verification(config, seed: int | None = None) -> int:
     states = [
         ConcentrationState(rng.random(config.n_classes)) for _ in range(5)
     ]
+    short = rng.random(config.n_classes)
+    short[max(1, config.n_classes // 4):] = 0.0
+    states.append(ConcentrationState(short))
 
     worst = 0.0
     for d in sorted(config.kernel_specs):

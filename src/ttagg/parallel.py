@@ -1,12 +1,11 @@
-"""Block decomposition of the size coordinate and shared-memory execution.
+"""Shared-memory execution of the right-hand-side paths.
 
-The size axis 1..N is split into P contiguous blocks, block p owning
-sizes (p-1)*N/P + 1 through p*N/P.  Parallel work inside the fast
-right-hand-side paths follows the same decomposition: fiber weighting
-and the loss contractions run per block and the per-frequency chain
+Parallel work inside the fast right-hand-side paths splits a range into
+contiguous chunks, one per worker: fiber weighting and the loss
+contractions run per chunk of the size axis and the per-frequency chain
 products per bin range, on a pinned thread pool, while the independent
 fiber transforms go to the FFT backend's own threads.
-Reductions combine block partials in ascending block order, so results
+Reductions combine chunk partials in ascending chunk order, so results
 depend on the worker count only at roundoff level.
 """
 
@@ -21,65 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .kernels import KernelError, TTKernel
+from .kernels import KernelError
 
 __all__ = [
-    "PartitionPlan",
     "ExecutionPlan",
     "FFT_LENGTH_POLICIES",
     "SERIAL_PLAN",
-    "make_partition",
-    "block_core",
     "run_blocked",
     "map_blocked",
     "BenchReport",
     "run_scaling_benchmark",
 ]
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Disjoint cover of sizes 1..N by P equal blocks (P must divide N)."""
-
-    n_classes: int
-    workers: int
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise KernelError("worker count must be >= 1")
-        if self.n_classes % self.workers:
-            raise KernelError(
-                f"{self.workers} workers do not divide N = {self.n_classes}; "
-                "pad N (a power of two is recommended) or change the worker count"
-            )
-
-    @property
-    def block_size(self) -> int:
-        return self.n_classes // self.workers
-
-    def bounds(self, p: int) -> tuple[int, int]:
-        """1-based inclusive size range owned by block p (1-based)."""
-        if not 1 <= p <= self.workers:
-            raise KernelError(f"block index {p} outside [1, {self.workers}]")
-        b = self.block_size
-        return (p - 1) * b + 1, p * b
-
-    def block_slice(self, p: int) -> slice:
-        lo, hi = self.bounds(p)
-        return slice(lo - 1, hi)
-
-
-def make_partition(n_classes: int, workers: int) -> PartitionPlan:
-    return PartitionPlan(n_classes, workers)
-
-
-def block_core(kernel: TTKernel, level: int, p: int, partition: PartitionPlan) -> np.ndarray:
-    """Slab of core `level` (1-based) owned by block p: shape (R_prev, N/P, R_next)."""
-    if not 1 <= level <= kernel.dimension:
-        raise KernelError(f"core level {level} outside [1, {kernel.dimension}]")
-    if partition.n_classes != kernel.n_classes:
-        raise KernelError("partition and kernel disagree on N")
-    return kernel.cores[level - 1][:, partition.block_slice(p), :]
 
 
 FFT_LENGTH_POLICIES = ("fast", "pow2")
@@ -99,7 +50,8 @@ class ExecutionPlan:
     N size classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d
     sizes fill columns 0..d(N-1) and any length of at least d(N-1) + 1 is
     alias-free.  "fast" (the default) takes the smallest 5-smooth length
-    at or above that bound; "pow2" the smallest power of two.
+    at or above that bound; "pow2" the smallest power of two.  The gain
+    passes its state's occupied size for N: sizes above it are zero.
     """
 
     workers: int = 1

@@ -7,8 +7,11 @@ kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(N**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: weighted fibers,
 size i stored at slot i-1, zero-padded to an alias-free length of at
-least d(N-1) + 1) and the loss through mode contractions, for
-O(N log N) work per rank pair.  A
+least d(m-1) + 1) and the loss through mode contractions, for
+O(m log m) work per rank pair.  Here m <= N is the state's occupied size,
+the largest k with n_k != 0: sizes above m contribute nothing, so the
+fast paths read sizes 1..m only and return exact zeros where the sums
+are empty (gain above min(N, d*m), loss above m).  A
 symmetrized CP kernel sums the plain CP form over all d! slot orders;
 every order gives the same index-sum convolution, so its gain is one
 d-fold convolution with weight 1, and its loss is a closed form in
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.fft as _fft
@@ -86,6 +89,16 @@ class ConcentrationState:
     @property
     def n_classes(self) -> int:
         return self.n.size
+
+    @cached_property
+    def occupied_size(self) -> int:
+        """Largest size k with n_k != 0, or 0 for an all-zero state."""
+        n = self.n
+        if n[-1] != 0:
+            return n.size
+        nonzero = n[::-1] != 0
+        last = int(np.argmax(nonzero))  # first True from the end
+        return n.size - last if nonzero[last] else 0
 
 
 def kernel_element(kernel, idx) -> float:
@@ -245,26 +258,36 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fft_gain(
-    groups, combine, scale: float, n: np.ndarray, order: int, plan: ExecutionPlan
+    groups, combine, scale: float, state: ConcentrationState, order: int,
+    plan: ExecutionPlan,
 ) -> np.ndarray:
     """Truncated order-d gain from FFT convolutions of weighted fibers.
 
     Every leading index of an array in `groups` is one fiber over sizes
-    1..N (the last axis).  Pipeline: (1) weight each fiber by the
-    concentrations into a zeroed (rows, L) buffer, size i at column i-1;
-    (2) transform all rows at once; (3) `combine(spectra)` reduces the
-    per-group spectra, sliced to a range of frequency bins, to one
-    spectrum; (4) inverse-transform; (5) index sum k of d sizes sits at
-    column k - d, so columns 0..N-d give p_d..p_N, times `scale`.  The
-    largest index sum fills column d(N-1), so the plan's length
-    L >= d(N-1) + 1 keeps every column alias-free.
+    1..N (the last axis).  Only the occupied sizes 1..m of the state
+    (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
+    above m has a zero product.  Pipeline: (1) weight each fiber's first
+    m entries by the concentrations into a zeroed (rows, L) buffer, size i
+    at column i-1; (2) transform all rows at once; (3) `combine(spectra)`
+    reduces the per-group spectra, sliced to a range of frequency bins, to
+    one spectrum; (4) inverse-transform; (5) index sum k of d sizes sits
+    at column k - d, so columns 0..top-d give p_d..p_top, times `scale`,
+    with top = min(N, d*m).  The largest index sum fills column d(m-1),
+    so the plan's length L >= d(m-1) + 1 keeps every column alias-free.
+    Every other entry of p is an exact 0.0; so is all of p for an
+    all-zero state, which skips the transforms.
 
     Weighting is chunked along the size axis and the combine along
     frequency bins; each bin's arithmetic is fixed, so the output does not
     depend on the worker count.
     """
-    n_classes = n.size
-    length = plan.fft_length(order, n_classes)
+    n = state.n
+    occupied = state.occupied_size
+    top = min(n.size, order * occupied)
+    p = np.zeros(n.size)
+    if top < order:
+        return p
+    length = plan.fft_length(order, occupied)
     row_counts = [math.prod(group.shape[:-1]) for group in groups]
     buf = np.zeros((sum(row_counts), length))
     views = _split_rows(buf, groups, row_counts)
@@ -273,7 +296,7 @@ def _fft_gain(
         for group, view in zip(groups, views):
             np.multiply(group[..., lo:hi], n[lo:hi], out=view[..., lo:hi])
 
-    run_blocked(n_classes, plan.workers, weight_chunk)
+    run_blocked(occupied, plan.workers, weight_chunk)
 
     spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
     spec_groups = _split_rows(spectra, groups, row_counts)
@@ -286,8 +309,7 @@ def _fft_gain(
     run_blocked(n_bins, plan.workers, combine_chunk)
 
     coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
-    p = np.zeros(n_classes)
-    p[order - 1:] = coeffs[: max(n_classes - order + 1, 0)] * scale
+    p[order - 1 : top] = coeffs[: top - order + 1] * scale
     return p
 
 
@@ -329,10 +351,19 @@ def rhs_tt_P(
         [core.transpose(0, 2, 1) for core in kernel.cores],
         _tt_chain,
         1.0 / math.factorial(d),
-        state.n,
+        state,
         d,
         plan or SERIAL_PLAN,
     )
+
+
+def _zero_padded(head: np.ndarray, n_classes: int) -> np.ndarray:
+    # a loss over the occupied sizes, extended by exact zeros to all N
+    if head.size == n_classes:
+        return head
+    out = np.zeros(n_classes)
+    out[: head.size] = head
+    return out
 
 
 def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
@@ -357,16 +388,18 @@ def rhs_tt_Q(
     The first d-1 cores are contracted with the state and chained into a
     row vector over the last internal rank; the last core supplies the
     per-size tail.  Valid for symmetric kernels, where fixing the particle
-    size at the last mode loses no generality.
+    size at the last mode loses no generality.  Contractions and tail run
+    over the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
     """
     plan = plan or SERIAL_PLAN
-    d, _ = _check_pair(kernel, state)
-    n = state.n
-    w = _contract_core(kernel.cores[0], n, plan)  # (1, R1)
+    d, n_classes = _check_pair(kernel, state)
+    occupied = state.occupied_size
+    n = state.n[:occupied]
+    w = _contract_core(kernel.cores[0][:, :occupied], n, plan)  # (1, R1)
     for lam in range(1, d - 1):
-        w = w @ _contract_core(kernel.cores[lam], n, plan)
-    tail = w[0] @ kernel.cores[d - 1][:, :, 0]
-    return -(n * tail) / math.factorial(d - 1)
+        w = w @ _contract_core(kernel.cores[lam][:, :occupied], n, plan)
+    tail = w[0] @ kernel.cores[d - 1][:, :occupied, 0]
+    return _zero_padded(-(n * tail) / math.factorial(d - 1), n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +436,7 @@ def rhs_cp_P(
         [factor.T for factor in kernel.factors],
         _cp_product,
         scale,
-        state.n,
+        state,
         d,
         plan or SERIAL_PLAN,
     )
@@ -435,27 +468,30 @@ def rhs_cp_Q(
     a symmetric kernel.  Symmetrized CP: with S_{m,r} = sum_i f_{m,r}(i) n_i,
     the loss is Q_k = -n_k sum_r sum_m f_{m,r}(k) prod_{m' != m} S_{m',r};
     the (d-1)! orders of the other slots cancel the 1/(d-1)!, and no
-    symmetry is assumed.
+    symmetry is assumed.  Moments and tail run over the occupied sizes
+    1..m only; q_k is an exact 0.0 for k > m.
     """
     plan = plan or SERIAL_PLAN
-    d, _ = _check_pair(kernel, state)
-    n = state.n
+    d, n_classes = _check_pair(kernel, state)
+    occupied = state.occupied_size
+    n = state.n[:occupied]
+    factors = [factor[:occupied] for factor in kernel.factors]
     if isinstance(kernel, SymmetrizedCPKernel):
-        moments = _factor_moments(kernel.factors, n, plan)
-        tail = np.zeros(n.size)
-        for m, factor in enumerate(kernel.factors):
+        moments = _factor_moments(factors, n, plan)
+        tail = np.zeros(occupied)
+        for m, factor in enumerate(factors):
             others = np.ones(kernel.rank)
             for other in range(d):
                 if other != m:
                     others = others * moments[other]
             tail += factor @ others
-        return -(n * tail)
-    moments = _factor_moments(kernel.factors[: d - 1], n, plan)
+        return _zero_padded(-(n * tail), n_classes)
+    moments = _factor_moments(factors[: d - 1], n, plan)
     scalars = np.ones(kernel.rank)
     for mode in range(d - 1):
         scalars = scalars * moments[mode]
-    tail = kernel.factors[d - 1] @ scalars
-    return -(n * tail) / math.factorial(d - 1)
+    tail = factors[d - 1] @ scalars
+    return _zero_padded(-(n * tail) / math.factorial(d - 1), n_classes)
 
 
 # ---------------------------------------------------------------------------

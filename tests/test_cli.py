@@ -1,6 +1,7 @@
 """Batch front-end: subcommands, exit codes, and file outputs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+import ttagg
 import ttagg.cli as cli
 from ttagg.kernels import SymmetrizedCPKernel, TTKernel
 from ttagg.rhs import KernelSet
@@ -165,6 +167,34 @@ def test_verify_brownian_passes(tmp_path, capsys):
     assert "order 3, constructive TT:" in out
 
 
+def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
+    # five full-support states as before, then one that is zero above
+    # N // 4, so the paths trimmed to the occupied sizes are checked too
+    config_path = write_config(
+        tmp_path,
+        N=32,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    seen = []
+    original = cli.rhs_gain_loss
+
+    def record(kernel, state, plan=None):
+        seen.append(state.n)
+        return original(kernel, state, plan)
+
+    monkeypatch.setattr(cli, "rhs_gain_loss", record)
+    assert cli.main(["verify", "--config", config_path, "--seed", "5"]) == 0
+    rng = np.random.default_rng(5)
+    full = [rng.random(32) for _ in range(5)]
+    short = rng.random(32)
+    short[8:] = 0.0
+    # two representations (symmetrized CP, constructive TT), six states each
+    assert len(seen) == 12
+    for got, want in zip(seen, (full + [short]) * 2):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_verify_pair_kernel_passes(tmp_path):
     config_path = write_config(
         tmp_path,
@@ -272,10 +302,14 @@ def test_bench_rejects_bad_worker_list(tmp_path, capsys):
 
 def test_module_entry_point_runs(tmp_path):
     config_path = write_config(tmp_path)
+    # the child imports the same package as this process, however it was found
+    src = os.path.dirname(os.path.dirname(ttagg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ttagg", "simulate", "--config", config_path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "simulate:" in result.stdout

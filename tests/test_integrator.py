@@ -15,7 +15,13 @@ from ttagg.integrator import (
     moments,
     rk2_step,
 )
-from ttagg.kernels import BrownianSpec, ConstantSpec, build_brownian_tt, constant_tt
+from ttagg.kernels import (
+    BrownianSpec,
+    ConstantSpec,
+    build_brownian_tt,
+    constant_tt,
+    dense_from_spec,
+)
 from ttagg.rhs import ConcentrationState, KernelSet
 
 
@@ -139,6 +145,24 @@ def test_ternary_brownian_mass_stays_on_the_grid():
     _, series = integrate(config)
     assert abs(series.m1_drift[-1]) <= 1e-6
     assert not series.negativity_flagged
+
+
+def test_monodisperse_step_occupies_exactly_the_reachable_sizes():
+    # the midpoint stage reaches size 3, the full step 3 * 3 = 9; the fast
+    # paths leave every larger size an exact zero, as the dense sums do
+    spec = BrownianSpec((1 / 3, -1 / 3, 0.0))
+    config = SimulationConfig(
+        n_classes=64,
+        dimension=3,
+        kernel_specs={3: spec},
+        initial=InitialCondition.monodisperse(1.0),
+        time=TimeGrid(0.0, 1e-2, 1),
+        record_every=1,
+    )
+    fast, _ = integrate(config)
+    assert np.flatnonzero(fast.n)[-1] + 1 == 9
+    dense, _ = integrate(config, kernels=KernelSet({3: dense_from_spec(spec, 64)}))
+    assert np.abs(fast.n - dense.n).max() <= 1e-10 * np.abs(dense.n).max()
 
 
 # ---------------------------------------------------------------------------

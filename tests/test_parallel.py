@@ -1,4 +1,4 @@
-"""Block decomposition, execution plans, and the scaling harness."""
+"""Execution plans, chunked execution, and the scaling harness."""
 
 import dataclasses
 
@@ -7,54 +7,13 @@ import pytest
 
 from ttagg.config import SimulationConfig
 from ttagg.integrator import InitialCondition, TimeGrid
-from ttagg.kernels import BrownianSpec, KernelError, build_brownian_tt
+from ttagg.kernels import BrownianSpec, KernelError
 from ttagg.parallel import (
     ExecutionPlan,
-    block_core,
-    make_partition,
     map_blocked,
     run_blocked,
     run_scaling_benchmark,
 )
-
-
-def test_partition_blocks_cover_the_size_axis():
-    plan = make_partition(8, 2)
-    assert plan.block_size == 4
-    assert plan.bounds(1) == (1, 4)
-    assert plan.bounds(2) == (5, 8)
-    assert plan.block_slice(2) == slice(4, 8)
-
-
-def test_partition_requires_divisibility():
-    with pytest.raises(KernelError, match="pad N"):
-        make_partition(8, 3)
-    with pytest.raises(KernelError):
-        make_partition(8, 0)
-
-
-def test_partition_at_benchmark_scale():
-    plan = make_partition(1 << 19, 128)
-    assert plan.block_size == 4096
-    assert plan.bounds(1) == (1, 4096)
-    assert plan.bounds(128) == ((1 << 19) - 4095, 1 << 19)
-
-
-def test_block_core_slabs_reassemble_the_core():
-    kernel = build_brownian_tt(BrownianSpec((0.5, -0.5, 0.0)), 16)
-    whole = block_core(kernel, 2, 1, make_partition(16, 1))
-    np.testing.assert_array_equal(whole, kernel.cores[1])
-
-    partition = make_partition(16, 4)
-    slabs = [block_core(kernel, 2, p, partition) for p in range(1, 5)]
-    for slab in slabs:
-        assert slab.shape == (3, 4, 3)
-    np.testing.assert_array_equal(np.concatenate(slabs, axis=1), kernel.cores[1])
-
-    with pytest.raises(KernelError):
-        block_core(kernel, 4, 1, partition)
-    with pytest.raises(KernelError):
-        partition.bounds(5)
 
 
 def test_execution_plan_validation_and_fft_lengths():

@@ -529,6 +529,40 @@ def test_one_slot_shorter_aliases_into_the_smallest_gain(order, monkeypatch):
         assert rel_inf(got[order:], ref[order:]) <= 1e-10
 
 
+def test_occupied_size_is_the_last_nonzero_size():
+    n = np.zeros(16)
+    assert ConcentrationState(n).occupied_size == 0
+    n[0] = 1.0
+    assert ConcentrationState(n).occupied_size == 1
+    n[6] = -1e-300  # any nonzero entry counts, negative or tiny
+    assert ConcentrationState(n).occupied_size == 7
+    n[-1] = 2.0
+    assert ConcentrationState(n).occupied_size == 16
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_gain_and_loss_are_exact_zeros_above_the_occupied_sizes(order):
+    # a state vanishing above m reaches index sums up to d*m only: above
+    # min(N, d*m) the gain sum is empty, above m the loss has n_k = 0
+    cases, full = alias_cases(order)
+    n_classes = full.n_classes
+    # d*m < N, d*m >= N, and the all-zero state
+    for occupied in ((n_classes - 1) // order, n_classes // 2 + 1, 0):
+        n = full.n.copy()
+        n[occupied:] = 0.0
+        state = ConcentrationState(n)
+        top = min(n_classes, order * occupied)
+        for _, kernel, dense in cases:
+            p, q = rhs_gain_loss(kernel, state, ExecutionPlan(workers=1))
+            assert np.all(p[top:] == 0.0)
+            assert np.all(q[occupied:] == 0.0)
+            assert rel_inf(p, rhs_dense_P(dense, state)) <= 1e-10
+            assert rel_inf(q, rhs_dense_Q(dense, state)) <= 1e-10
+            p4, q4 = rhs_gain_loss(kernel, state, ExecutionPlan(workers=4))
+            assert rel_inf(p4, p) <= 1e-12
+            assert rel_inf(q4, q) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # kernel set checks and the symmetry probe
 # ---------------------------------------------------------------------------
