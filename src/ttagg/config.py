@@ -90,8 +90,15 @@ class SimulationConfig:
         )
 
 
+def _require_object(value, what: str) -> None:
+    # JSON objects load as dicts; any other shape is a validation error
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+
+
 def kernel_spec_from_dict(data: dict, order: int | None = None):
     """Parse one kernel specification dictionary."""
+    _require_object(data, "kernel specification")
     try:
         kind = data["type"]
     except KeyError:
@@ -101,6 +108,10 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
         mu = data.get("mu")
         if mu is None:
             raise ConfigError("brownian kernel specification needs 'mu'")
+        if not isinstance(mu, (list, tuple)):
+            raise ConfigError(
+                f"brownian 'mu' must be a list of exponents, got {type(mu).__name__}"
+            )
         spec = BrownianSpec(tuple(float(m) for m in mu))
         if dimension is not None and spec.dimension != int(dimension):
             raise ConfigError(
@@ -132,6 +143,7 @@ def kernel_spec_to_dict(spec) -> dict:
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
+    _require_object(data, "configuration")
     try:
         n_classes = int(data["N"])
         dimension = int(data["D"])
@@ -147,6 +159,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
     }
 
     initial_raw = data.get("initial", {"kind": "monodisperse", "c0": 1.0})
+    _require_object(initial_raw, "'initial'")
     kind = initial_raw.get("kind", "monodisperse")
     if kind == "monodisperse":
         initial = InitialCondition.monodisperse(float(initial_raw.get("c0", 1.0)))
@@ -157,6 +170,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
     else:
         raise ConfigError(f"unknown initial condition kind {kind!r}")
 
+    _require_object(time_raw, "'time'")
     try:
         grid = TimeGrid(
             t0=float(time_raw.get("t0", 0.0)),
@@ -222,7 +236,7 @@ def load_config(path: str) -> SimulationConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if "config" in data and "N" not in data:
+    if isinstance(data, dict) and "config" in data and "N" not in data:
         data = data["config"]
     return config_from_dict(data)
 

@@ -29,7 +29,6 @@ __all__ = [
     "CPKernel",
     "SymmetrizedCPKernel",
     "DenseKernel",
-    "SubsetCodec",
     "brownian_element",
     "build_brownian_tt",
     "tt_element",
@@ -40,7 +39,6 @@ __all__ = [
     "dense_from_cp",
     "tt_max_rank_bound",
     "constant_tt",
-    "constant_cp",
     "brownian_symmetrized_cp",
 ]
 
@@ -265,7 +263,7 @@ class DenseKernel:
 # subset bookkeeping for the constructive TT builder
 # ---------------------------------------------------------------------------
 
-class SubsetCodec:
+class _SubsetCodec:
     """Bijection between rank indices and the level-subsets of {1, ..., D}.
 
     Rank index r (0-based) maps to the r-th subset of the given size in
@@ -392,7 +390,7 @@ def build_brownian_tt(spec: BrownianSpec, n_classes: int) -> TTKernel:
         raise KernelError("n_classes must be >= 1")
     d = spec.dimension
     pows = [_power_vector(n_classes, mu) for mu in spec.exponents]
-    codecs = [SubsetCodec(d, lam) for lam in range(d + 1)]
+    codecs = [_SubsetCodec(d, lam) for lam in range(d + 1)]
 
     cores = []
     first = np.zeros((1, n_classes, d))
@@ -426,15 +424,6 @@ def constant_tt(value: float, dimension: int, n_classes: int) -> TTKernel:
     cores = [np.ones((1, n_classes, 1)) for _ in range(dimension)]
     cores[0] *= float(value)
     return TTKernel(tuple(cores))
-
-
-def constant_cp(value: float, dimension: int, n_classes: int) -> CPKernel:
-    """Rank-1 CP kernel with every coefficient equal to `value`."""
-    if dimension < 2:
-        raise KernelError("kernel dimension must be >= 2")
-    factors = [np.ones((n_classes, 1)) for _ in range(dimension)]
-    factors[0] *= float(value)
-    return CPKernel(tuple(factors))
 
 
 def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCPKernel:

@@ -1,12 +1,11 @@
-"""Shared-memory execution of the right-hand-side paths.
+"""Execution plans for the right-hand-side paths, and the scaling harness.
 
-Parallel work inside the fast right-hand-side paths splits a range into
-contiguous chunks, one per worker: fiber weighting and the loss
-contractions run per chunk of the size axis and the per-frequency chain
-products per bin range, on a pinned thread pool, while the independent
-fiber transforms go to the FFT backend's own threads.
-Reductions combine chunk partials in ascending chunk order, so results
-depend on the worker count only at roundoff level.
+An `ExecutionPlan` picks the transform length policy and the number of
+threads scipy's FFT backend may use.  Everything else in a right-hand
+side (fiber weighting, the per-frequency combine, the loss contractions)
+runs in the calling thread.  The backend splits a batch of transforms by
+whole rows and each row's arithmetic is fixed, so every worker count
+gives the same bits as one worker.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.fft import next_fast_len
 
 from .kernels import KernelError
@@ -26,8 +23,6 @@ __all__ = [
     "ExecutionPlan",
     "FFT_LENGTH_POLICIES",
     "SERIAL_PLAN",
-    "run_blocked",
-    "map_blocked",
     "BenchReport",
     "run_scaling_benchmark",
 ]
@@ -40,11 +35,10 @@ FFT_LENGTH_POLICIES = ("fast", "pow2")
 class ExecutionPlan:
     """How a right-hand-side evaluation is executed.
 
-    `workers` chunks the weighting and per-frequency combine phases over a
-    pinned thread pool and hands the batched transforms to the FFT backend
-    with up to that many threads.  Block partials of reductions combine in
-    ascending block order, so the worker count perturbs results at
-    roundoff level only.
+    `workers` only sets the threads of the FFT backend (`fft_workers`),
+    which splits a batch of transforms by whole rows.  All other work runs
+    in the calling thread, so results are bitwise equal for every worker
+    count.
 
     fft_length_policy picks the transform length for an order-d gain on
     N size classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d
@@ -80,49 +74,6 @@ class ExecutionPlan:
 
 
 SERIAL_PLAN = ExecutionPlan()
-
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def run_blocked(total: int, workers: int, fn) -> None:
-    """Apply fn(lo, hi) to contiguous chunks covering range(total).
-
-    Chunks are disjoint, so workers never write to the same output slot;
-    exceptions propagate to the caller.
-    """
-    if workers <= 1 or total <= 1:
-        fn(0, total)
-        return
-    bounds = np.linspace(0, total, workers + 1).astype(int)
-    pairs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(pairs) == 1:
-        fn(*pairs[0])
-        return
-    futures = [_pool(workers).submit(fn, lo, hi) for lo, hi in pairs]
-    for fut in futures:
-        fut.result()
-
-
-def map_blocked(total: int, workers: int, fn) -> list:
-    """Collect fn(lo, hi) over contiguous chunks, in ascending chunk order,
-    so reductions over the partials are reproducible for any worker count.
-    """
-    if workers <= 1 or total <= 1:
-        return [fn(0, total)]
-    bounds = np.linspace(0, total, workers + 1).astype(int)
-    pairs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(pairs) == 1:
-        return [fn(*pairs[0])]
-    futures = [_pool(workers).submit(fn, lo, hi) for lo, hi in pairs]
-    return [fut.result() for fut in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .kernels import (
     symmetrized_cp_element,
     tt_element,
 )
-from .parallel import SERIAL_PLAN, ExecutionPlan, map_blocked, run_blocked
+from .parallel import SERIAL_PLAN, ExecutionPlan
 
 __all__ = [
     "ConcentrationState",
@@ -58,8 +58,7 @@ __all__ = [
 # N**d guard for the dense reference paths.
 DENSE_RHS_BUDGET = 1 << 26
 
-# Kernels this small are symmetry-checked by sampling when a KernelSet is built.
-_SYMMETRY_CHECK_MAX_N = 64
+# Largest sampled relative violation a KernelSet accepts as symmetric.
 _SYMMETRY_TOL = 1e-8
 
 
@@ -163,14 +162,18 @@ class KernelSet:
             elif kernel.n_classes != n_classes:
                 raise KernelError("all kernels in a set must share the same N")
             checked[d] = kernel
-        if n_classes is not None and n_classes <= _SYMMETRY_CHECK_MAX_N:
-            for d, kernel in checked.items():
-                violation = sample_symmetry_violation(kernel)
-                if violation > _SYMMETRY_TOL:
-                    raise KernelError(
-                        f"kernel for order {d} is not symmetric "
-                        f"(sampled relative violation {violation:.2e})"
-                    )
+        for d, kernel in checked.items():
+            # a symmetrized CP kernel is symmetric by construction, and its
+            # loss assumes no symmetry; every other loss fixes the particle
+            # size at the last mode, which needs a symmetric kernel
+            if isinstance(kernel, SymmetrizedCPKernel):
+                continue
+            violation = sample_symmetry_violation(kernel)
+            if violation > _SYMMETRY_TOL:
+                raise KernelError(
+                    f"kernel for order {d} is not symmetric "
+                    f"(sampled relative violation {violation:.2e})"
+                )
         object.__setattr__(self, "kernels", checked)
 
     @property
@@ -257,6 +260,19 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # FFT gain scaffold shared by the TT and CP paths
 # ---------------------------------------------------------------------------
 
+# Whole-range seams around the weighting, the combine and the loss
+# contractions: each runs fn(0, total) once, in the calling thread.  They
+# exist only because the benchmark's tracer wraps these two names in this
+# module and reads their (total, workers, fn) arguments; the benchmark
+# change of ROADMAP direction 1 deletes them.
+def run_blocked(total: int, workers: int, fn) -> None:
+    fn(0, total)
+
+
+def map_blocked(total: int, workers: int, fn):
+    return fn(0, total)
+
+
 def _fft_gain(
     groups, combine, scale: float, state: ConcentrationState, order: int,
     plan: ExecutionPlan,
@@ -269,17 +285,17 @@ def _fft_gain(
     above m has a zero product.  Pipeline: (1) weight each fiber's first
     m entries by the concentrations into a zeroed (rows, L) buffer, size i
     at column i-1; (2) transform all rows at once; (3) `combine(spectra)`
-    reduces the per-group spectra, sliced to a range of frequency bins, to
-    one spectrum; (4) inverse-transform; (5) index sum k of d sizes sits
-    at column k - d, so columns 0..top-d give p_d..p_top, times `scale`,
-    with top = min(N, d*m).  The largest index sum fills column d(m-1),
-    so the plan's length L >= d(m-1) + 1 keeps every column alias-free.
+    reduces the per-group spectra to one spectrum; (4) inverse-transform;
+    (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
+    give p_d..p_top, times `scale`, with top = min(N, d*m).  The largest
+    index sum fills column d(m-1), so the plan's length L >= d(m-1) + 1
+    keeps every column alias-free.
     Every other entry of p is an exact 0.0; so is all of p for an
     all-zero state, which skips the transforms.
 
-    Weighting is chunked along the size axis and the combine along
-    frequency bins; each bin's arithmetic is fixed, so the output does not
-    depend on the worker count.
+    Only the transforms use the plan's worker count, and the FFT backend
+    splits them by whole rows, so the output is bitwise the same for every
+    worker count.
     """
     n = state.n
     occupied = state.occupied_size
@@ -292,23 +308,21 @@ def _fft_gain(
     buf = np.zeros((sum(row_counts), length))
     views = _split_rows(buf, groups, row_counts)
 
-    def weight_chunk(lo, hi):
+    def weight(lo, hi):
         for group, view in zip(groups, views):
             np.multiply(group[..., lo:hi], n[lo:hi], out=view[..., lo:hi])
 
-    run_blocked(occupied, plan.workers, weight_chunk)
+    run_blocked(occupied, plan.workers, weight)
 
     spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
     spec_groups = _split_rows(spectra, groups, row_counts)
-    n_bins = spectra.shape[1]
-    out_spec = np.empty(n_bins, dtype=np.complex128)
+    combined = map_blocked(
+        spectra.shape[1],
+        plan.workers,
+        lambda lo, hi: combine([spec[..., lo:hi] for spec in spec_groups]),
+    )
 
-    def combine_chunk(lo, hi):
-        out_spec[lo:hi] = combine([spec[..., lo:hi] for spec in spec_groups])
-
-    run_blocked(n_bins, plan.workers, combine_chunk)
-
-    coeffs = _fft.irfft(out_spec, n=length, workers=plan.fft_workers)
+    coeffs = _fft.irfft(combined, n=length, workers=plan.fft_workers)
     p[order - 1 : top] = coeffs[: top - order + 1] * scale
     return p
 
@@ -367,17 +381,12 @@ def _zero_padded(head: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # V[rp, rn] = sum_i core[rp, i, rn] * n_i; the block partials combine
-    # in ascending block order, so the worker count only perturbs roundoff.
-    parts = map_blocked(
+    # V[rp, rn] = sum_i core[rp, i, rn] * n_i
+    return map_blocked(
         core.shape[1],
         plan.workers,
         lambda lo, hi: np.einsum("rns,n->rs", core[:, lo:hi, :], n[lo:hi]),
     )
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
 
 
 def rhs_tt_Q(
@@ -443,17 +452,12 @@ def rhs_cp_P(
 
 
 def _factor_moments(factors, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # S[m, r] = sum_i factors[m][i, r] * n_i for every given factor in one
-    # blocked pass; block partials combine in ascending block order.
-    parts = map_blocked(
+    # S[m, r] = sum_i factors[m][i, r] * n_i for every given factor
+    return map_blocked(
         n.size,
         plan.workers,
         lambda lo, hi: np.stack([n[lo:hi] @ f[lo:hi] for f in factors]),
     )
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
 
 
 def rhs_cp_Q(

@@ -91,6 +91,29 @@ def test_simulate_invalid_config_is_validation_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (None, "configuration must be a JSON object"),  # a top-level array
+        ({"kernels": {"2": 5}}, "kernel specification must be a JSON object"),
+        ({"time": 5}, "'time' must be a JSON object"),
+        ({"initial": []}, "'initial' must be a JSON object"),
+        ({"kernels": {"2": {"type": "brownian", "mu": 0.5}}}, "'mu' must be a list"),
+    ],
+    ids=["array", "kernel-number", "time-number", "initial-array", "mu-number"],
+)
+def test_simulate_malformed_config_shape_is_validation_error(
+    tmp_path, capsys, overrides, message
+):
+    if overrides is None:
+        config_path = str(tmp_path / "config.json")
+        (tmp_path / "config.json").write_text("[1, 2]")
+    else:
+        config_path = write_config(tmp_path, **overrides)
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_manifest_rerun_reproduces_moments_bitwise(tmp_path):
     config_path = write_config(
         tmp_path,
@@ -313,3 +336,4 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert "simulate:" in result.stdout
+

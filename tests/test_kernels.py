@@ -12,14 +12,12 @@ from ttagg.kernels import (
     CPKernel,
     DenseKernel,
     KernelError,
-    SubsetCodec,
     SymmetrizedCPKernel,
     TableSpec,
     TTKernel,
     brownian_element,
     brownian_symmetrized_cp,
     build_brownian_tt,
-    constant_cp,
     constant_tt,
     cp_element,
     dense_from_cp,
@@ -28,6 +26,7 @@ from ttagg.kernels import (
     symmetrized_cp_element,
     tt_element,
     tt_max_rank_bound,
+    _SubsetCodec,
 )
 from ttagg.rhs import kernel_element
 
@@ -165,7 +164,7 @@ def test_brownian_tt_core_structure(dimension):
     n_classes = 6
     kernel = build_brownian_tt(BrownianSpec(tuple(mu)), n_classes)
     sizes = np.arange(1.0, n_classes + 1.0)
-    codecs = [SubsetCodec(dimension, lam) for lam in range(dimension + 1)]
+    codecs = [_SubsetCodec(dimension, lam) for lam in range(dimension + 1)]
     for lam in range(1, dimension):
         core = kernel.cores[lam]
         prev, cur = codecs[lam], codecs[lam + 1]
@@ -245,7 +244,7 @@ def test_tt_element_index_errors():
 def test_cp_element_rules():
     ones = CPKernel(tuple(np.ones((6, 1)) for _ in range(3)))
     assert cp_element(ones, (1, 6, 3)) == 1.0
-    scaled = constant_cp(2.5, 3, 6)
+    scaled = CPKernel((np.full((6, 1), 2.5), np.ones((6, 1)), np.ones((6, 1))))
     for idx in ((1, 1, 1), (6, 2, 4)):
         assert cp_element(scaled, idx) == pytest.approx(2.5)
 
@@ -333,7 +332,7 @@ def test_tt_max_rank_bound_values():
 
 
 def test_subset_codec_is_a_colex_bijection():
-    codec = SubsetCodec(5, 2)
+    codec = _SubsetCodec(5, 2)
     assert len(codec) == math.comb(5, 2)
     seen = set()
     for rank in range(len(codec)):
@@ -350,13 +349,13 @@ def test_subset_codec_is_a_colex_bijection():
 
 
 def test_subset_codec_errors():
-    codec = SubsetCodec(4, 2)
+    codec = _SubsetCodec(4, 2)
     with pytest.raises(KernelError):
         codec.decode(len(codec))
     with pytest.raises(KernelError):
         codec.encode((1, 2, 3))
     with pytest.raises(KernelError):
-        SubsetCodec(4, 5)
+        _SubsetCodec(4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def test_dense_kernel_validation_and_immutability():
 
 def test_constant_builders_agree():
     ttk = constant_tt(3.5, 3, 6)
-    cpk = constant_cp(3.5, 3, 6)
+    cpk = CPKernel((np.full((6, 1), 3.5), np.ones((6, 1)), np.ones((6, 1))))
     assert ttk.ranks == (1, 1, 1, 1)
     for idx in ((1, 1, 1), (6, 3, 2)):
         assert tt_element(ttk, idx) == pytest.approx(3.5)

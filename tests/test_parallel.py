@@ -1,19 +1,16 @@
-"""Execution plans, chunked execution, and the scaling harness."""
+"""Execution plans, the whole-range seams, and the scaling harness."""
 
 import dataclasses
+import threading
 
-import numpy as np
 import pytest
 
+import ttagg.parallel
+import ttagg.rhs
 from ttagg.config import SimulationConfig
 from ttagg.integrator import InitialCondition, TimeGrid
 from ttagg.kernels import BrownianSpec, KernelError
-from ttagg.parallel import (
-    ExecutionPlan,
-    map_blocked,
-    run_blocked,
-    run_scaling_benchmark,
-)
+from ttagg.parallel import ExecutionPlan, run_scaling_benchmark
 
 
 def test_execution_plan_validation_and_fft_lengths():
@@ -34,8 +31,8 @@ def test_execution_plan_validation_and_fft_lengths():
 
 
 def test_execution_plan_axis_toggles():
-    # the worker count is the one parallel axis left: it sets the pool
-    # size, and the FFT backend's threads are capped by the core count
+    # the worker count is the one parallel axis left: it sets only the FFT
+    # backend's threads, capped by the core count
     assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
         "workers",
         "fft_length_policy",
@@ -63,21 +60,20 @@ def test_fast_fft_length_is_5_smooth_alias_free_and_at_most_pow2(order, n_classe
     assert pow2 & (pow2 - 1) == 0 and pow2 // 2 < needed
 
 
-def test_run_blocked_covers_range_without_overlap():
-    for workers in (1, 2, 3, 7):
-        hits = np.zeros(23, dtype=int)
+def test_blocked_seams_run_the_whole_range_in_the_calling_thread():
+    # no chunking and no pool: each seam calls fn(0, total) once, here
+    assert not hasattr(ttagg.parallel, "run_blocked")
+    calls = []
 
-        def mark(lo, hi):
-            hits[lo:hi] += 1
+    def record(lo, hi):
+        calls.append((lo, hi, threading.current_thread()))
+        return lo, hi
 
-        run_blocked(23, workers, mark)
-        assert np.all(hits == 1)
-
-
-def test_map_blocked_returns_partials_in_order():
-    parts = map_blocked(10, 3, lambda lo, hi: (lo, hi))
-    assert parts == sorted(parts)
-    assert parts[0][0] == 0 and parts[-1][1] == 10
+    for workers in (1, 2, 7):
+        calls.clear()
+        assert ttagg.rhs.run_blocked(23, workers, record) is None
+        assert ttagg.rhs.map_blocked(23, workers, record) == (0, 23)
+        assert calls == [(0, 23, threading.current_thread())] * 2
 
 
 def test_scaling_benchmark_report_shape():

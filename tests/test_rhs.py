@@ -14,7 +14,6 @@ from ttagg.kernels import (
     SymmetrizedCPKernel,
     brownian_symmetrized_cp,
     build_brownian_tt,
-    constant_cp,
     constant_tt,
     dense_from_cp,
     dense_from_spec,
@@ -201,7 +200,7 @@ def test_cp_rank_one_matches_tt_rank_one():
     state = ConcentrationState(rng.random(24))
     for d in (2, 3):
         tt = constant_tt(2.0, d, 24)
-        cp = constant_cp(2.0, d, 24)
+        cp = CPKernel((np.full((24, 1), 2.0),) + (np.ones((24, 1)),) * (d - 1))
         np.testing.assert_allclose(
             rhs_cp_P(cp, state), rhs_tt_P(tt, state), rtol=1e-13, atol=1e-16
         )
@@ -278,9 +277,18 @@ def test_kernel_set_accepts_symmetrized_form_at_small_n():
     rank_two = SymmetrizedCPKernel(tuple(rng.random((16, 2)) for _ in range(4)))
     assert sample_symmetry_violation(rank_two) < 1e-12
     KernelSet({4: rank_two})
-    # 7! terms per sampled coefficient, still checked at small N
     seven = brownian_symmetrized_cp(BrownianSpec(tuple(rng.uniform(-1, 1, 7))), 8)
     assert KernelSet({7: seven})[7] is seven
+
+
+def test_kernel_set_does_not_sample_the_symmetrized_form():
+    # symmetric by construction: a kernel set takes it at any N without
+    # sampling, also at D = 9, where one sampled coefficient would need 9!
+    # slot orders, over the element cap
+    nine = brownian_symmetrized_cp(BrownianSpec(tuple(np.linspace(-1, 1, 9))), 64)
+    with pytest.raises(KernelError, match="capped"):
+        sample_symmetry_violation(nine)
+    assert KernelSet({9: nine})[9] is nine
 
 
 def test_symmetrized_path_is_deterministic():
@@ -304,12 +312,7 @@ def test_symmetrized_results_do_not_depend_on_worker_count():
             4: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n_classes),
         }
     )
-    state = ConcentrationState(rng.random(n_classes))
-    ref = rhs_total(kernels, state, ExecutionPlan(workers=1))
-    for workers in (2, 4):
-        got = rhs_total(kernels, state, ExecutionPlan(workers=workers))
-        assert rel_inf(got.p, ref.p) <= 1e-12
-        assert rel_inf(got.q, ref.q) <= 1e-12
+    assert_same_bits_for_every_worker_count(kernels, rng.random(n_classes))
 
 
 def test_symmetrized_mass_conservation_before_boundary_contact():
@@ -441,22 +444,39 @@ def test_fft_path_is_deterministic():
     np.testing.assert_array_equal(first, second)
 
 
+def assert_same_bits_for_every_worker_count(kernels, n):
+    # only the FFT backend sees the worker count, and it splits transforms
+    # by whole rows: every count gives the 1-worker bits, on a state with
+    # full support and on one trimmed to its first fifth of sizes
+    trimmed = n.copy()
+    trimmed[n.size // 5 :] = 0.0
+    for values in (n, trimmed):
+        state = ConcentrationState(values)
+        ref = rhs_total(kernels, state, ExecutionPlan(workers=1))
+        for workers in (2, 4, 8):
+            got = rhs_total(kernels, state, ExecutionPlan(workers=workers))
+            np.testing.assert_array_equal(got.p, ref.p)
+            np.testing.assert_array_equal(got.q, ref.q)
+            np.testing.assert_array_equal(got.s, ref.s)
+
+
 def test_results_do_not_depend_on_worker_count():
     rng = np.random.default_rng(71)
-    n_classes = 64
+    n_classes = 512
+    shared = rng.random((n_classes, 2))  # equal factors make a symmetric CP kernel
     kernels = KernelSet(
-        {3: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)}
+        {
+            2: CPKernel((shared, shared)),
+            3: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes),
+            4: build_brownian_tt(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n_classes),
+        }
     )
-    state = ConcentrationState(rng.random(n_classes))
-    ref = rhs_total(kernels, state, ExecutionPlan(workers=1)).s
-    for workers in (2, 4, 8):
-        got = rhs_total(kernels, state, ExecutionPlan(workers=workers)).s
-        assert rel_inf(got, ref) <= 1e-12
+    assert_same_bits_for_every_worker_count(kernels, rng.random(n_classes))
 
 
 def test_disabled_parallel_axes_and_loose_reduction_agree():
-    # the serial plan (one worker) against parallel plans under both length
-    # policies: workers and transform length move results by roundoff only
+    # the serial plan (one worker) against other plans under both length
+    # policies: the transform length moves results by roundoff only
     rng = np.random.default_rng(74)
     n_classes = 64
     kernels = KernelSet(
@@ -559,8 +579,8 @@ def test_gain_and_loss_are_exact_zeros_above_the_occupied_sizes(order):
             assert rel_inf(p, rhs_dense_P(dense, state)) <= 1e-10
             assert rel_inf(q, rhs_dense_Q(dense, state)) <= 1e-10
             p4, q4 = rhs_gain_loss(kernel, state, ExecutionPlan(workers=4))
-            assert rel_inf(p4, p) <= 1e-12
-            assert rel_inf(q4, q) <= 1e-12
+            np.testing.assert_array_equal(p4, p)
+            np.testing.assert_array_equal(q4, q)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +604,18 @@ def test_kernel_set_rejects_asymmetric_kernels_at_small_n():
     values = sizes[:, None] + 2.0 * sizes[None, :]  # i + 2j != j + 2i off-diagonal
     with pytest.raises(KernelError, match="not symmetric"):
         KernelSet({2: DenseKernel(values)})
+
+
+def test_kernel_set_rejects_asymmetric_kernels_at_every_n():
+    # the loss of TT, CP and dense kernels assumes symmetry at any N
+    sizes = np.arange(1.0, 66.0)
+    values = sizes[:, None] + 2.0 * sizes[None, :]
+    with pytest.raises(KernelError, match="not symmetric"):
+        KernelSet({2: DenseKernel(values)})
+    rng = np.random.default_rng(83)
+    lopsided = CPKernel(tuple(rng.random((4096, 2)) for _ in range(3)))
+    with pytest.raises(KernelError, match="not symmetric"):
+        KernelSet({3: lopsided})
 
 
 def test_symmetry_probe():
