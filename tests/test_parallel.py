@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 import ttagg.parallel
@@ -60,20 +61,36 @@ def test_fast_fft_length_is_5_smooth_alias_free_and_at_most_pow2(order, n_classe
     assert pow2 & (pow2 - 1) == 0 and pow2 // 2 < needed
 
 
-def test_blocked_seams_run_the_whole_range_in_the_calling_thread():
-    # no chunking and no pool: each seam calls fn(0, total) once, here
+def test_run_blocked_covers_range_without_overlap():
+    # no chunking and no pool: the seam calls fn(0, total) once, in the
+    # calling thread, for every worker count
     assert not hasattr(ttagg.parallel, "run_blocked")
+    for workers in (1, 2, 3, 7):
+        hits = np.zeros(23, dtype=int)
+        threads = []
+
+        def mark(lo, hi):
+            hits[lo:hi] += 1
+            threads.append(threading.current_thread())
+
+        assert ttagg.rhs.run_blocked(23, workers, mark) is None
+        assert np.all(hits == 1)
+        assert threads == [threading.current_thread()]
+
+
+def test_map_blocked_returns_partials_in_order():
+    # the one "partial" is the whole range, returned as fn returned it
+    assert not hasattr(ttagg.parallel, "map_blocked")
     calls = []
 
     def record(lo, hi):
         calls.append((lo, hi, threading.current_thread()))
         return lo, hi
 
-    for workers in (1, 2, 7):
+    for workers in (1, 3, 7):
         calls.clear()
-        assert ttagg.rhs.run_blocked(23, workers, record) is None
-        assert ttagg.rhs.map_blocked(23, workers, record) == (0, 23)
-        assert calls == [(0, 23, threading.current_thread())] * 2
+        assert ttagg.rhs.map_blocked(10, workers, record) == (0, 10)
+        assert calls == [(0, 10, threading.current_thread())]
 
 
 def test_scaling_benchmark_report_shape():
