@@ -9,6 +9,7 @@ little-endian 64-bit floats or as whitespace-separated text.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 from .integrator import InitialCondition, TimeGrid
@@ -96,6 +97,22 @@ def _require_object(value, what: str) -> None:
         raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
 
 
+def _integer(value, what: str) -> int:
+    # a JSON integer, or a number with an integral value such as 16.0;
+    # int() would truncate 16.7 and fail with a TypeError on a list
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be an integer, got {type(value).__name__}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def kernel_spec_from_dict(data: dict, order: int | None = None):
     """Parse one kernel specification dictionary."""
     _require_object(data, "kernel specification")
@@ -112,8 +129,10 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
             raise ConfigError(
                 f"brownian 'mu' must be a list of exponents, got {type(mu).__name__}"
             )
-        spec = BrownianSpec(tuple(float(m) for m in mu))
-        if dimension is not None and spec.dimension != int(dimension):
+        spec = BrownianSpec(tuple(_number(m, "brownian 'mu' entry") for m in mu))
+        if dimension is None:
+            return spec
+        if spec.dimension != _integer(dimension, "kernel 'D'"):
             raise ConfigError(
                 f"brownian kernel has {spec.dimension} exponents, D says {dimension}"
             )
@@ -123,12 +142,15 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
     if kind == "constant":
         if "c" not in data:
             raise ConfigError("constant kernel specification needs 'c'")
-        return ConstantSpec(value=float(data["c"]), dimension=int(dimension))
+        return ConstantSpec(
+            value=_number(data["c"], "constant kernel 'c'"),
+            dimension=_integer(dimension, "kernel 'D'"),
+        )
     if kind == "table":
         path = data.get("table_path")
         if not path:
             raise ConfigError("table kernel specification needs 'table_path'")
-        return TableSpec(path=str(path), dimension=int(dimension))
+        return TableSpec(path=str(path), dimension=_integer(dimension, "kernel 'D'"))
     raise ConfigError(f"unknown kernel type {kind!r}")
 
 
@@ -145,8 +167,8 @@ def kernel_spec_to_dict(spec) -> dict:
 def config_from_dict(data: dict) -> SimulationConfig:
     _require_object(data, "configuration")
     try:
-        n_classes = int(data["N"])
-        dimension = int(data["D"])
+        n_classes = _integer(data["N"], "'N'")
+        dimension = _integer(data["D"], "'D'")
         kernels_raw = data["kernels"]
         time_raw = data["time"]
     except KeyError as exc:
@@ -162,7 +184,9 @@ def config_from_dict(data: dict) -> SimulationConfig:
     _require_object(initial_raw, "'initial'")
     kind = initial_raw.get("kind", "monodisperse")
     if kind == "monodisperse":
-        initial = InitialCondition.monodisperse(float(initial_raw.get("c0", 1.0)))
+        initial = InitialCondition.monodisperse(
+            _number(initial_raw.get("c0", 1.0), "'c0'")
+        )
     elif kind == "vector":
         if "values" not in initial_raw:
             raise ConfigError("vector initial condition needs 'values'")
@@ -173,9 +197,9 @@ def config_from_dict(data: dict) -> SimulationConfig:
     _require_object(time_raw, "'time'")
     try:
         grid = TimeGrid(
-            t0=float(time_raw.get("t0", 0.0)),
-            dt=float(time_raw["dt"]),
-            steps=int(time_raw["steps"]),
+            t0=_number(time_raw.get("t0", 0.0), "'t0'"),
+            dt=_number(time_raw["dt"], "'dt'"),
+            steps=_integer(time_raw["steps"], "'steps'"),
         )
     except KeyError as exc:
         raise ConfigError(f"time grid is missing {exc.args[0]!r}") from None
@@ -189,11 +213,11 @@ def config_from_dict(data: dict) -> SimulationConfig:
             kernel_specs=specs,
             initial=initial,
             time=grid,
-            record_every=int(data.get("record_every", 1)),
+            record_every=_integer(data.get("record_every", 1), "'record_every'"),
             output_dir=str(data.get("output_dir", "out")),
-            workers=int(data.get("workers", 1)),
+            workers=_integer(data.get("workers", 1), "'workers'"),
             fft_length_policy=str(data.get("fft_length_policy", "fast")),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "'seed'"),
             verify_oracle=bool(data.get("verify_oracle", False)),
         )
     except ValueError as exc:

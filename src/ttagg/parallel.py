@@ -30,6 +30,9 @@ __all__ = [
 
 FFT_LENGTH_POLICIES = ("fast", "pow2")
 
+# read once: every gain asks for its FFT thread count
+_CPU_COUNT = os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -70,7 +73,7 @@ class ExecutionPlan:
     def fft_workers(self) -> int:
         # transform backends gain nothing from oversubscription; per-transform
         # results do not depend on this, so capping cannot perturb outputs
-        return min(self.workers, os.cpu_count() or 1)
+        return min(self.workers, _CPU_COUNT)
 
 
 SERIAL_PLAN = ExecutionPlan()

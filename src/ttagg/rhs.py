@@ -85,6 +85,29 @@ class ConcentrationState:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", float(self.t))
 
+    @classmethod
+    def _from_head(cls, head: np.ndarray, n_classes: int, t: float):
+        """The state (head, 0, ..., 0) of length `n_classes`, built by the
+        integrator from a fresh float64 head that it hands over.
+
+        A full-length head becomes the state's array with no copy.  Every
+        size above the head is an exact zero by construction, so the
+        finiteness check and the occupied-size scan read the head only.
+        """
+        if not np.all(np.isfinite(head)):
+            raise ValueError("concentration state contains non-finite entries")
+        if head.size == n_classes:
+            n = head
+        else:
+            n = np.zeros(n_classes)
+            n[: head.size] = head
+        n.setflags(write=False)
+        state = cls.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "t", float(t))
+        state.__dict__["occupied_size"] = _last_nonzero_size(head)
+        return state
+
     @property
     def n_classes(self) -> int:
         return self.n.size
@@ -92,12 +115,16 @@ class ConcentrationState:
     @cached_property
     def occupied_size(self) -> int:
         """Largest size k with n_k != 0, or 0 for an all-zero state."""
-        n = self.n
-        if n[-1] != 0:
-            return n.size
-        nonzero = n[::-1] != 0
-        last = int(np.argmax(nonzero))  # first True from the end
-        return n.size - last if nonzero[last] else 0
+        return _last_nonzero_size(self.n)
+
+
+def _last_nonzero_size(n: np.ndarray) -> int:
+    # 1-based index of the last nonzero entry, 0 if there is none
+    if n.size == 0 or n[-1] != 0:
+        return n.size
+    nonzero = n[::-1] != 0
+    last = int(np.argmax(nonzero))  # first True from the end
+    return n.size - last if nonzero[last] else 0
 
 
 def kernel_element(kernel, idx) -> float:
@@ -188,6 +215,12 @@ class KernelSet:
 
     def __getitem__(self, order: int):
         return self.kernels[order]
+
+    def reach(self, occupied: int) -> int:
+        """Sizes 1..reach hold every nonzero entry of the right-hand side of
+        a state with occupied size `occupied`: an order-d gain ends at
+        min(N, d * occupied), and every loss at `occupied`."""
+        return min(self.n_classes, max(self.orders) * occupied)
 
 
 @dataclass(frozen=True)
@@ -329,8 +362,11 @@ def _fft_gain(
 
 def _split_rows(array, groups, row_counts):
     # one view of `array` per group, with the group's fiber indices restored
-    parts = np.split(array, np.cumsum(row_counts)[:-1])
-    return [part.reshape(g.shape[:-1] + (-1,)) for g, part in zip(groups, parts)]
+    views, start = [], 0
+    for group, rows in zip(groups, row_counts):
+        views.append(array[start : start + rows].reshape(group.shape[:-1] + (-1,)))
+        start += rows
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +568,18 @@ def rhs_total(
         raise KernelError(
             f"kernel set has N = {kernels.n_classes}, state has N = {state.n_classes}"
         )
-    n_classes = state.n_classes
-    p = np.zeros(n_classes)
-    q = np.zeros(n_classes)
+    p = q = None
     per_order = {}
     for d in kernels.orders:
         p_d, q_d = rhs_gain_loss(kernels[d], state, plan)
-        p += p_d
-        q += q_d
+        # every operator returns fresh vectors, so the first order's become
+        # the sums and later orders add into new arrays
+        p = p_d if p is None else p + p_d
+        q = q_d if q is None else q + q_d
         if breakdown:
             per_order[d] = (p_d, q_d)
-    return RhsResult(p=p, q=q, s=p + q, by_order=per_order if breakdown else None)
+    # above the reach p and q are exact zeros, and so is their sum
+    reach = kernels.reach(state.occupied_size)
+    s = np.zeros(state.n_classes)
+    np.add(p[:reach], q[:reach], out=s[:reach])
+    return RhsResult(p=p, q=q, s=s, by_order=per_order if breakdown else None)

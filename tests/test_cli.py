@@ -114,6 +114,52 @@ def test_simulate_malformed_config_shape_is_validation_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"N": [16]}, "'N' must be an integer, got list"),
+        ({"N": 16.7}, "'N' must be an integer, got 16.7"),
+        ({"D": True}, "'D' must be an integer, got bool"),
+        ({"record_every": {"every": 1}}, "'record_every' must be an integer, got dict"),
+        ({"workers": "2"}, "'workers' must be an integer, got str"),
+        ({"time": {"dt": 1e-3, "steps": 2.9}}, "'steps' must be an integer, got 2.9"),
+        ({"time": {"dt": [1e-3], "steps": 2}}, "'dt' must be a number, got list"),
+        (
+            {"kernels": {"2": {"type": "constant", "D": 2, "c": [1]}}},
+            "'c' must be a number, got list",
+        ),
+        (
+            {"kernels": {"2": {"type": "constant", "D": 2.5, "c": 1}}},
+            "kernel 'D' must be an integer, got 2.5",
+        ),
+        (
+            {"kernels": {"2": {"type": "brownian", "mu": [[0.5], -0.5]}}},
+            "'mu' entry must be a number, got list",
+        ),
+    ],
+    ids=[
+        "N-list", "N-fraction", "D-bool", "record-every-object", "workers-string",
+        "steps-fraction", "dt-list", "c-list", "kernel-D-fraction", "mu-entry-list",
+    ],
+)
+def test_simulate_bad_scalar_field_is_validation_error(
+    tmp_path, capsys, overrides, message
+):
+    # int()/float() would truncate the fractions and raise TypeError on lists
+    config_path = write_config(tmp_path, **overrides)
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_integral_numbers_are_accepted_for_integer_fields(tmp_path):
+    config_path = write_config(tmp_path, N=16.0, time={"dt": 1e-3, "steps": 2.0})
+    assert cli.main(["simulate", "--config", config_path]) == 0
+    _, rows = read_moments(tmp_path / "out" / "moments.csv")
+    assert len(rows) == 1 + 2
+
+
 def test_manifest_rerun_reproduces_moments_bitwise(tmp_path):
     config_path = write_config(
         tmp_path,

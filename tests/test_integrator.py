@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ttagg.integrator as integrator_mod
-from ttagg.config import SimulationConfig
+from ttagg.config import SimulationConfig, build_kernel_set
 from ttagg.integrator import (
     InitialCondition,
     MomentSeries,
@@ -18,11 +18,13 @@ from ttagg.integrator import (
 from ttagg.kernels import (
     BrownianSpec,
     ConstantSpec,
+    CPKernel,
+    brownian_symmetrized_cp,
     build_brownian_tt,
     constant_tt,
     dense_from_spec,
 )
-from ttagg.rhs import ConcentrationState, KernelSet
+from ttagg.rhs import ConcentrationState, KernelSet, rhs_total
 
 
 def ternary_constant_config(n_classes=256, dt=1e-3, steps=1000, record_every=100):
@@ -95,6 +97,112 @@ def test_step_failure_reports_step_index():
         integrate(config)
     assert excinfo.value.step_index == 1
     assert len(excinfo.value.series) == 1  # partial series: the initial record
+
+
+# ---------------------------------------------------------------------------
+# steps trimmed to the reachable sizes
+# ---------------------------------------------------------------------------
+
+BROWNIAN_2 = BrownianSpec((0.5, -0.5))
+BROWNIAN_3 = BrownianSpec((1 / 3, -1 / 3, 0.0))
+BROWNIAN_4 = BrownianSpec((0.5, -0.5, 0.25, 0.0))
+
+
+def symmetric_cp(order, n_classes):
+    # K(i, j, ...) = sum_r (i j ...)**mu_r: one factor in every mode makes
+    # it symmetric, so the plain CP loss applies
+    sizes = np.arange(1, n_classes + 1, dtype=np.float64)
+    factor = sizes[:, None] ** np.array([1 / 3, -1 / 3])
+    return CPKernel((factor,) * order)
+
+
+def full_length_step(state, dt, kernels):
+    """The midpoint step over all N sizes, the reference for `rk2_step`."""
+    def rhs_fn(n, t):
+        return rhs_total(kernels, ConcentrationState(n, t)).s
+
+    return midpoint_step(state.n, state.t, dt, rhs_fn)
+
+
+TRIMMED_CASES = {
+    "tt": lambda n: {3: build_brownian_tt(BROWNIAN_3, n)},
+    "cp": lambda n: {3: symmetric_cp(3, n)},
+    "symmetrized-cp": lambda n: {4: brownian_symmetrized_cp(BROWNIAN_4, n)},
+    "dense": lambda n: {2: dense_from_spec(BROWNIAN_2, n)},
+    "mixed-2-3": lambda n: {
+        2: brownian_symmetrized_cp(BROWNIAN_2, n), 3: constant_tt(0.5, 3, n)
+    },
+}
+
+
+@pytest.mark.parametrize("n_classes", [64, 200, 512])
+@pytest.mark.parametrize("case", sorted(TRIMMED_CASES))
+def test_trimmed_steps_match_full_length_steps_bitwise(case, n_classes):
+    kernels = KernelSet(TRIMMED_CASES[case](n_classes))
+    d_max = max(kernels.orders)
+    state = InitialCondition.monodisperse(1.0).state(n_classes)
+    # from a monodisperse start the reach d_max**2 * m grows until it is N;
+    # step on until two steps have run at full reach
+    trimmed_steps = full_steps = 0
+    for _ in range(20):
+        if full_steps == 2:
+            break
+        reach = min(n_classes, d_max**2 * state.occupied_size)
+        trimmed_steps += reach < n_classes
+        full_steps += reach == n_classes
+        stepped = rk2_step(state, 1e-2, kernels)
+        np.testing.assert_array_equal(
+            stepped.n, full_length_step(state, 1e-2, kernels)
+        )
+        assert stepped.t == state.t + 1e-2
+        assert stepped.occupied_size == int(np.flatnonzero(stepped.n)[-1]) + 1
+        state = stepped
+    assert trimmed_steps >= 1 and full_steps == 2
+
+
+def test_trimmed_integrate_matches_full_length_steps_bitwise():
+    config = SimulationConfig(
+        n_classes=300,
+        dimension=3,
+        kernel_specs={2: BROWNIAN_2, 3: ConstantSpec(0.5, 3)},
+        initial=InitialCondition.monodisperse(1.0),
+        time=TimeGrid(0.0, 1e-2, 6),
+        record_every=2,
+    )
+    final, series = integrate(config)
+    kernels = build_kernel_set(config)
+    state = config.initial.state(config.n_classes)
+    for step in range(1, config.time.steps + 1):
+        n = full_length_step(state, config.time.dt, kernels)
+        state = ConcentrationState(n, state.t + config.time.dt)
+        if step % config.record_every == 0:
+            assert series.m1[step // config.record_every] == moments(state, (1,))[0]
+    np.testing.assert_array_equal(final.n, state.n)
+    assert final.occupied_size == config.n_classes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_inside_the_reach_is_a_step_failure():
+    # the stage overflows at sizes 1..4 of 64; the sizes above stay zero
+    kernels = KernelSet({2: constant_tt(1e300, 2, 64)})
+    state = InitialCondition.monodisperse(1e10).state(64)
+    assert kernels.reach(kernels.reach(state.occupied_size)) == 4
+    with pytest.raises(StepFailureError, match="non-finite"):
+        rk2_step(state, 1e10, kernels)
+
+
+def test_states_built_from_a_head_equal_the_padded_states():
+    n = np.zeros(16)
+    n[:3] = [1.0, 0.0, 2.0]
+    state = ConcentrationState(n, t=0.5)
+    owned = ConcentrationState._from_head(np.array([1.0, 0.0, 2.0, 0.0]), 16, 0.5)
+    np.testing.assert_array_equal(owned.n, state.n)
+    assert owned.occupied_size == state.occupied_size == 3
+    assert owned.t == 0.5 and not owned.n.flags.writeable
+    full = np.arange(1.0, 17.0)
+    assert ConcentrationState._from_head(full, 16, 0.0).n is full
+    with pytest.raises(ValueError, match="non-finite"):
+        ConcentrationState._from_head(np.array([1.0, np.nan]), 16, 0.0)
 
 
 # ---------------------------------------------------------------------------
