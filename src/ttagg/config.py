@@ -9,6 +9,7 @@ little-endian 64-bit floats or as whitespace-separated text.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -16,13 +17,14 @@ from .integrator import InitialCondition, TimeGrid
 from .kernels import (
     BrownianSpec,
     ConstantSpec,
+    KernelError,
     TableSpec,
     brownian_symmetrized_cp,
     build_brownian_tt,  # noqa: F401  (perfbench/tracing.py wraps it here)
     constant_tt,
     dense_from_spec,
 )
-from .parallel import FFT_LENGTH_POLICIES, ExecutionPlan
+from .parallel import ExecutionPlan
 from .rhs import KernelSet
 
 __all__ = [
@@ -51,6 +53,7 @@ class SimulationConfig:
     record_every: int = 1
     output_dir: str = "out"
     workers: int = 1
+    # "fast" is the only accepted value; the benchmark harness reads it
     fft_length_policy: str = "fast"
     seed: int = 0
     verify_oracle: bool = False
@@ -62,13 +65,10 @@ class SimulationConfig:
             raise ConfigError("D must be >= 2")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.fft_length_policy not in FFT_LENGTH_POLICIES:
-            raise ConfigError(
-                f"unknown fft_length_policy {self.fft_length_policy!r}; "
-                f"expected one of {', '.join(FFT_LENGTH_POLICIES)}"
-            )
+        try:
+            self.execution_plan()  # the plan validates workers and policy
+        except KernelError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.kernel_specs:
             raise ConfigError("at least one collision order must be configured")
         specs = {}
@@ -108,9 +108,32 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
+    # json reads NaN and Infinity, which no field accepts
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _numbers(values, what: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(
+            f"{what} must be a list of numbers, got {type(values).__name__}"
+        )
+    return tuple(_number(v, f"{what} entry") for v in values)
+
+
+def _order(key) -> int:
+    # JSON object keys are strings; a collision order must read as an integer
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"collision order {key!r} must be an integer") from None
 
 
 def kernel_spec_from_dict(data: dict, order: int | None = None):
@@ -125,11 +148,7 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
         mu = data.get("mu")
         if mu is None:
             raise ConfigError("brownian kernel specification needs 'mu'")
-        if not isinstance(mu, (list, tuple)):
-            raise ConfigError(
-                f"brownian 'mu' must be a list of exponents, got {type(mu).__name__}"
-            )
-        spec = BrownianSpec(tuple(_number(m, "brownian 'mu' entry") for m in mu))
+        spec = BrownianSpec(_numbers(mu, "brownian 'mu'"))
         if dimension is None:
             return spec
         if spec.dimension != _integer(dimension, "kernel 'D'"):
@@ -176,7 +195,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
     if not isinstance(kernels_raw, dict) or not kernels_raw:
         raise ConfigError("'kernels' must map collision orders to specifications")
     specs = {
-        int(order): kernel_spec_from_dict(spec, order=int(order))
+        _order(order): kernel_spec_from_dict(spec, order=_order(order))
         for order, spec in kernels_raw.items()
     }
 
@@ -190,7 +209,9 @@ def config_from_dict(data: dict) -> SimulationConfig:
     elif kind == "vector":
         if "values" not in initial_raw:
             raise ConfigError("vector initial condition needs 'values'")
-        initial = InitialCondition.from_vector(initial_raw["values"])
+        initial = InitialCondition.from_vector(
+            _numbers(initial_raw["values"], "vector initial 'values'")
+        )
     else:
         raise ConfigError(f"unknown initial condition kind {kind!r}")
 
@@ -206,6 +227,11 @@ def config_from_dict(data: dict) -> SimulationConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid time grid: {exc}") from None
 
+    verify_oracle = data.get("verify_oracle", False)
+    if not isinstance(verify_oracle, bool):
+        raise ConfigError(
+            f"'verify_oracle' must be true or false, got {type(verify_oracle).__name__}"
+        )
     try:
         return SimulationConfig(
             n_classes=n_classes,
@@ -218,7 +244,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
             workers=_integer(data.get("workers", 1), "'workers'"),
             fft_length_policy=str(data.get("fft_length_policy", "fast")),
             seed=_integer(data.get("seed", 0), "'seed'"),
-            verify_oracle=bool(data.get("verify_oracle", False)),
+            verify_oracle=verify_oracle,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

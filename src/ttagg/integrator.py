@@ -21,7 +21,6 @@ __all__ = [
     "MomentSeries",
     "StepFailureError",
     "StepSizeWarning",
-    "midpoint_step",
     "rk2_step",
     "integrate",
     "moments",
@@ -150,11 +149,16 @@ def moments(state: ConcentrationState, orders) -> list[float]:
     return out
 
 
-def midpoint_step(n: np.ndarray, t: float, dt: float, rhs_fn) -> np.ndarray:
-    """One explicit midpoint step; exactly two rhs_fn evaluations."""
-    k1 = rhs_fn(n, t)
-    k2 = rhs_fn(n + (0.5 * dt) * k1, t + 0.5 * dt)
-    return n + dt * k2
+def _rhs_head(
+    kernels: KernelSet,
+    state: ConcentrationState,
+    plan: ExecutionPlan | None,
+    reach: int,
+) -> np.ndarray:
+    # p + q over sizes 1..reach; the full-length p and q are freed on
+    # return, before the step allocates its next state (peak memory)
+    result = rhs_total(kernels, state, plan)
+    return result.p[:reach] + result.q[:reach]
 
 
 def rk2_step(
@@ -165,28 +169,26 @@ def rk2_step(
 ) -> ConcentrationState:
     """Advance one step of length dt with the explicit midpoint rule.
 
-    A right-hand side is an exact zero above `KernelSet.reach` of the
-    occupied size m, so with d_max the largest order the two stages touch
-    only sizes 1..reach, reach = min(N, d_max**2 * m).  The step runs on
-    that head and pads the result with exact zeros to length N; the bits
-    are those of the same step over all N sizes.
+    Two right-hand-side evaluations, k1 at the state and k2 at the
+    midpoint state n + (dt/2) k1, give n + dt k2.  A right-hand side is an
+    exact zero above `KernelSet.reach` of the occupied size m, so with
+    d_max the largest order the two stages touch only sizes 1..reach,
+    reach = min(N, d_max**2 * m).  The step runs on that head and pads
+    the result with exact zeros to length N; the bits are those of the
+    same step over all N sizes.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     n_classes = state.n_classes
-
-    def rhs_fn(head, t):
-        if head is start:  # the first stage is the given state
-            stage = state
-        else:
-            stage = ConcentrationState._from_head(head, n_classes, t)
-        return rhs_total(kernels, stage, plan).s[:reach]
-
     try:
         reach = kernels.reach(kernels.reach(state.occupied_size))
-        start = state.n[:reach]
-        head = midpoint_step(start, state.t, dt, rhs_fn)
-        return ConcentrationState._from_head(head, n_classes, state.t + dt)
+        n = state.n[:reach]
+        k1 = _rhs_head(kernels, state, plan, reach)
+        mid = ConcentrationState._from_head(
+            n + (0.5 * dt) * k1, n_classes, state.t + 0.5 * dt
+        )
+        k2 = _rhs_head(kernels, mid, plan, reach)
+        return ConcentrationState._from_head(n + dt * k2, n_classes, state.t + dt)
     except ValueError as exc:
         raise StepFailureError(f"time step failed: {exc}") from exc
 

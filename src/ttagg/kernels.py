@@ -45,7 +45,7 @@ __all__ = [
 # D! permutations are enumerated literally; beyond this the sum is impractical.
 PERMUTATION_GUARD = 8
 
-# Default cap on N**D elements for any dense materialization.
+# Cap on N**D elements of any dense kernel, built or evaluated.
 DENSE_ELEMENT_BUDGET = 1 << 26
 
 
@@ -440,12 +440,13 @@ def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCP
 # dense expansions (verification oracles)
 # ---------------------------------------------------------------------------
 
-def _check_budget(n_classes: int, dimension: int, element_budget: int) -> None:
+def _check_budget(n_classes: int, dimension: int) -> None:
+    # the one guard of every dense array, kernel or right-hand side
     elements = n_classes**dimension
-    if elements > element_budget:
+    if elements > DENSE_ELEMENT_BUDGET:
         raise KernelError(
-            f"dense kernel would hold {elements} elements, over the budget of "
-            f"{element_budget}; reduce N or raise element_budget"
+            f"a dense kernel of {elements} elements is over the budget of "
+            f"{DENSE_ELEMENT_BUDGET}; reduce N"
         )
 
 
@@ -470,15 +471,10 @@ def _load_table(path: str, dimension: int, n_classes: int) -> np.ndarray:
     return flat.reshape((n_classes,) * dimension)
 
 
-def dense_from_spec(
-    spec,
-    n_classes: int,
-    *,
-    element_budget: int = DENSE_ELEMENT_BUDGET,
-) -> DenseKernel:
+def dense_from_spec(spec, n_classes: int) -> DenseKernel:
     """Materialize a kernel specification as a full D-way array."""
     d = spec.dimension
-    _check_budget(n_classes, d, element_budget)
+    _check_budget(n_classes, d)
     if isinstance(spec, ConstantSpec):
         values = np.full((n_classes,) * d, float(spec.value))
     elif isinstance(spec, TableSpec):
@@ -498,26 +494,20 @@ def dense_from_spec(
     return DenseKernel(values)
 
 
-def dense_from_tt(
-    kernel: TTKernel, *, element_budget: int = DENSE_ELEMENT_BUDGET
-) -> DenseKernel:
+def dense_from_tt(kernel: TTKernel) -> DenseKernel:
     """Contract all TT cores into the full array."""
-    _check_budget(kernel.n_classes, kernel.dimension, element_budget)
+    _check_budget(kernel.n_classes, kernel.dimension)
     out = kernel.cores[0][0]  # (N, R1)
     for core in kernel.cores[1:]:
         out = np.tensordot(out, core, axes=([out.ndim - 1], [0]))
     return DenseKernel(out[..., 0])
 
 
-def dense_from_cp(
-    kernel: CPKernel | SymmetrizedCPKernel,
-    *,
-    element_budget: int = DENSE_ELEMENT_BUDGET,
-) -> DenseKernel:
+def dense_from_cp(kernel: CPKernel | SymmetrizedCPKernel) -> DenseKernel:
     """Expand a CP kernel as the sum of its rank-1 terms; a symmetrized
     CP kernel also sums that array over every permutation of its modes."""
     d = kernel.dimension
-    _check_budget(kernel.n_classes, d, element_budget)
+    _check_budget(kernel.n_classes, d)
     values = np.zeros((kernel.n_classes,) * d)
     for r in range(kernel.rank):
         term = kernel.factors[0][:, r]

@@ -1,11 +1,11 @@
 """Execution plans for the right-hand-side paths, and the scaling harness.
 
-An `ExecutionPlan` picks the transform length policy and the number of
-threads scipy's FFT backend may use.  Everything else in a right-hand
-side (fiber weighting, the per-frequency combine, the loss contractions)
-runs in the calling thread.  The backend splits a batch of transforms by
-whole rows and each row's arithmetic is fixed, so every worker count
-gives the same bits as one worker.
+An `ExecutionPlan` sets the number of threads scipy's FFT backend may
+use.  Everything else in a right-hand side (fiber weighting, the
+per-frequency combine, the loss contractions) runs in the calling
+thread.  The backend splits a batch of transforms by whole rows and each
+row's arithmetic is fixed, so every worker count gives the same bits as
+one worker.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from .kernels import KernelError
 
 __all__ = [
     "ExecutionPlan",
-    "FFT_LENGTH_POLICIES",
     "SERIAL_PLAN",
     "BenchReport",
     "run_scaling_benchmark",
 ]
 
-
-FFT_LENGTH_POLICIES = ("fast", "pow2")
 
 # read once: every gain asks for its FFT thread count
 _CPU_COUNT = os.cpu_count() or 1
@@ -43,12 +40,15 @@ class ExecutionPlan:
     in the calling thread, so results are bitwise equal for every worker
     count.
 
-    fft_length_policy picks the transform length for an order-d gain on
-    N size classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d
-    sizes fill columns 0..d(N-1) and any length of at least d(N-1) + 1 is
-    alias-free.  "fast" (the default) takes the smallest 5-smooth length
-    at or above that bound; "pow2" the smallest power of two.  The gain
-    passes its state's occupied size for N: sizes above it are zero.
+    `fft_length` is the transform length of an order-d gain on N size
+    classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d sizes
+    fill columns 0..d(N-1) and any length of at least d(N-1) + 1 is
+    alias-free; the length is the smallest 5-smooth one at or above that
+    bound.  The gain passes its state's occupied size for N: sizes above
+    it are zero.
+
+    `fft_length_policy` has one accepted value, "fast".  The field stays
+    only because the benchmark harness passes it through from the config.
     """
 
     workers: int = 1
@@ -57,17 +57,14 @@ class ExecutionPlan:
     def __post_init__(self):
         if self.workers < 1:
             raise KernelError("worker count must be >= 1")
-        if self.fft_length_policy not in FFT_LENGTH_POLICIES:
+        if self.fft_length_policy != "fast":
             raise KernelError(
                 f"unknown fft_length_policy {self.fft_length_policy!r}; "
-                f"expected one of {', '.join(FFT_LENGTH_POLICIES)}"
+                "the only one is 'fast'"
             )
 
     def fft_length(self, order: int, n_classes: int) -> int:
-        needed = order * (n_classes - 1) + 1
-        if self.fft_length_policy == "pow2":
-            return 1 << (needed - 1).bit_length()
-        return next_fast_len(needed, real=True)
+        return next_fast_len(order * (n_classes - 1) + 1, real=True)
 
     @property
     def fft_workers(self) -> int:

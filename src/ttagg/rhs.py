@@ -33,6 +33,7 @@ from .kernels import (
     KernelError,
     SymmetrizedCPKernel,
     TTKernel,
+    _check_budget,
     cp_element,
     symmetrized_cp_element,
     tt_element,
@@ -54,9 +55,6 @@ __all__ = [
     "rhs_gain_loss",
     "rhs_total",
 ]
-
-# N**d guard for the dense reference paths.
-DENSE_RHS_BUDGET = 1 << 26
 
 # Largest sampled relative violation a KernelSet accepts as symmetric.
 _SYMMETRY_TOL = 1e-8
@@ -96,11 +94,7 @@ class ConcentrationState:
         """
         if not np.all(np.isfinite(head)):
             raise ValueError("concentration state contains non-finite entries")
-        if head.size == n_classes:
-            n = head
-        else:
-            n = np.zeros(n_classes)
-            n[: head.size] = head
+        n = _zero_padded(head, n_classes)
         n.setflags(write=False)
         state = cls.__new__(cls)
         object.__setattr__(state, "n", n)
@@ -125,6 +119,16 @@ def _last_nonzero_size(n: np.ndarray) -> int:
     nonzero = n[::-1] != 0
     last = int(np.argmax(nonzero))  # first True from the end
     return n.size - last if nonzero[last] else 0
+
+
+def _zero_padded(head: np.ndarray, n_classes: int) -> np.ndarray:
+    # a vector over sizes 1..len(head), extended by exact zeros to all N;
+    # a full-length head is returned as it is
+    if head.size == n_classes:
+        return head
+    out = np.zeros(n_classes)
+    out[: head.size] = head
+    return out
 
 
 def kernel_element(kernel, idx) -> float:
@@ -225,12 +229,14 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class RhsResult:
-    """Gain p, loss q, and their sum s = p + q, optionally per order."""
+    """Gain p and loss q; their sum s = p + q is computed on access."""
 
     p: np.ndarray
     q: np.ndarray
-    s: np.ndarray
-    by_order: dict | None = None
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.p + self.q
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +259,10 @@ def _index_sum_grid(order: int, n_classes: int) -> np.ndarray:
     return grid
 
 
-def _dense_budget_check(order: int, n_classes: int) -> None:
-    if n_classes**order > DENSE_RHS_BUDGET:
-        raise KernelError(
-            f"dense evaluation needs {n_classes**order} elements, over the "
-            f"budget of {DENSE_RHS_BUDGET}; reduce N"
-        )
-
-
 def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
     """Gain vector by direct summation over all d-tuples (O(N**d))."""
     d, n_classes = _check_pair(kernel, state)
-    _dense_budget_check(d, n_classes)
+    _check_budget(n_classes, d)
     weighted = kernel.values.copy()
     for axis in range(d):
         shape = [1] * d
@@ -282,7 +280,7 @@ def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
     """Loss vector by contracting the first d-1 modes with the state."""
     d, _ = _check_pair(kernel, state)
-    _dense_budget_check(d, kernel.n_classes)
+    _check_budget(kernel.n_classes, d)
     w = kernel.values
     for _ in range(d - 1):
         w = np.tensordot(state.n, w, axes=(0, 0))
@@ -405,15 +403,6 @@ def rhs_tt_P(
         d,
         plan or SERIAL_PLAN,
     )
-
-
-def _zero_padded(head: np.ndarray, n_classes: int) -> np.ndarray:
-    # a loss over the occupied sizes, extended by exact zeros to all N
-    if head.size == n_classes:
-        return head
-    out = np.zeros(n_classes)
-    out[: head.size] = head
-    return out
 
 
 def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
@@ -557,8 +546,6 @@ def rhs_total(
     kernels: KernelSet,
     state: ConcentrationState,
     plan: ExecutionPlan | None = None,
-    *,
-    breakdown: bool = False,
 ) -> RhsResult:
     """Sum of gain and loss over every configured collision order, each
     through rhs_gain_loss."""
@@ -569,17 +556,10 @@ def rhs_total(
             f"kernel set has N = {kernels.n_classes}, state has N = {state.n_classes}"
         )
     p = q = None
-    per_order = {}
     for d in kernels.orders:
         p_d, q_d = rhs_gain_loss(kernels[d], state, plan)
         # every operator returns fresh vectors, so the first order's become
         # the sums and later orders add into new arrays
         p = p_d if p is None else p + p_d
         q = q_d if q is None else q + q_d
-        if breakdown:
-            per_order[d] = (p_d, q_d)
-    # above the reach p and q are exact zeros, and so is their sum
-    reach = kernels.reach(state.occupied_size)
-    s = np.zeros(state.n_classes)
-    np.add(p[:reach], q[:reach], out=s[:reach])
-    return RhsResult(p=p, q=q, s=s, by_order=per_order if breakdown else None)
+    return RhsResult(p=p, q=q)

@@ -1,0 +1,46 @@
+"""The library names that the benchmark harness under perfbench/ uses.
+
+The harness wraps functions by name (`perfbench/tracing.py`) and builds
+its solver from config fields (`perfbench/workloads.py`), so deleting or
+renaming one of them breaks the benchmark.  One traced toy solution here
+makes such a change fail the test suite too.
+"""
+
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_toy_solution_passes_the_benchmark_checks(monkeypatch):
+    # importing workloads.py sets this variable; the monkeypatch restores it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads as wl
+
+    ttagg = wl.ttagg
+    originals = (ttagg.integrator.rk2_step, ttagg.integrator.rhs_total, ttagg.rhs._fft)
+    toy = wl.WORKLOADS["brownian4_n15_w2"].toy()
+    config = wl.config_from_dict(toy.config_dict(seed=1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        kernels = ttagg.config.build_kernel_set(config)
+        solver = wl.IntegrateSolver(config, kernels, toy.workers)
+        solver.solve()
+        checks = wl.check_brownian(wl.brownian_outputs(solver, toy), toy)
+    finally:
+        tracer.restore()
+    assert (ttagg.integrator.rk2_step, ttagg.integrator.rhs_total, ttagg.rhs._fft) == originals
+    assert not wl.failing(checks), checks
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "config.build_kernel_set",
+        "integrator.integrate",
+        "integrator.rk2_step",
+        "rhs.total",
+        "rhs.gain",
+        "rhs.loss",
+        "fft.forward",
+        "fft.inverse",
+    } <= names

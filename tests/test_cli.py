@@ -99,8 +99,21 @@ def test_simulate_invalid_config_is_validation_error(tmp_path, capsys):
         ({"time": 5}, "'time' must be a JSON object"),
         ({"initial": []}, "'initial' must be a JSON object"),
         ({"kernels": {"2": {"type": "brownian", "mu": 0.5}}}, "'mu' must be a list"),
+        (
+            {"initial": {"kind": "vector", "values": {"a": 1}}},
+            "'values' must be a list of numbers, got dict",
+        ),
+        ({"verify_oracle": "false"}, "'verify_oracle' must be true or false, got str"),
+        (
+            {"kernels": {"x": {"type": "constant", "D": 2, "c": 1.0}}},
+            "collision order 'x' must be an integer",
+        ),
+        ({"fft_length_policy": "pow2"}, "'pow2'; the only one is 'fast'"),
     ],
-    ids=["array", "kernel-number", "time-number", "initial-array", "mu-number"],
+    ids=[
+        "array", "kernel-number", "time-number", "initial-array", "mu-number",
+        "values-object", "verify-oracle-string", "order-key-letter", "policy-pow2",
+    ],
 )
 def test_simulate_malformed_config_shape_is_validation_error(
     tmp_path, capsys, overrides, message
@@ -136,21 +149,37 @@ def test_simulate_malformed_config_shape_is_validation_error(
             {"kernels": {"2": {"type": "brownian", "mu": [[0.5], -0.5]}}},
             "'mu' entry must be a number, got list",
         ),
+        (
+            {"kernels": {"2": {"type": "constant", "D": 2, "c": float("inf")}}},
+            "'c' must be finite, got inf",
+        ),
+        (
+            {"kernels": {"2": {"type": "brownian", "mu": [float("nan"), 0.0]}}},
+            "'mu' entry must be finite, got nan",
+        ),
+        ({"time": {"t0": float("inf"), "dt": 1e-3, "steps": 2}}, "'t0' must be finite"),
+        (
+            {"kernels": {"2": {"type": "constant", "D": 2, "c": 10**400}}},
+            "'c' must be finite, got 1000",
+        ),
     ],
     ids=[
         "N-list", "N-fraction", "D-bool", "record-every-object", "workers-string",
         "steps-fraction", "dt-list", "c-list", "kernel-D-fraction", "mu-entry-list",
+        "c-infinity", "mu-nan", "t0-infinity", "c-too-large",
     ],
 )
 def test_simulate_bad_scalar_field_is_validation_error(
     tmp_path, capsys, overrides, message
 ):
-    # int()/float() would truncate the fractions and raise TypeError on lists
+    # int()/float() would truncate the fractions and raise TypeError on
+    # lists, and json reads NaN and Infinity
     config_path = write_config(tmp_path, **overrides)
     assert cli.main(["simulate", "--config", config_path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert not (tmp_path / "out").exists()  # refused before any output
 
 
 def test_integral_numbers_are_accepted_for_integer_fields(tmp_path):
@@ -171,16 +200,13 @@ def test_manifest_rerun_reproduces_moments_bitwise(tmp_path):
     )
     assert cli.main(["simulate", "--config", config_path]) == 0
     manifest = tmp_path / "out" / "run_manifest.json"
-    rerun_out = tmp_path / "rerun"
-    assert (
-        cli.main(
-            ["simulate", "--config", str(manifest), "--output", str(rerun_out)]
-        )
-        == 0
-    )
     first = (tmp_path / "out" / "moments.csv").read_bytes()
-    second = (rerun_out / "moments.csv").read_bytes()
-    assert first == second
+    # at the manifest's own worker count and at another one
+    for name, extra in (("rerun", []), ("rerun_w2", ["--workers", "2"])):
+        rerun_out = tmp_path / name
+        argv = ["simulate", "--config", str(manifest), "--output", str(rerun_out)]
+        assert cli.main(argv + extra) == 0
+        assert (rerun_out / "moments.csv").read_bytes() == first
 
 
 def test_simulate_and_verify_with_table_kernel(tmp_path, capsys):

@@ -11,7 +11,6 @@ from ttagg.integrator import (
     StepFailureError,
     TimeGrid,
     integrate,
-    midpoint_step,
     moments,
     rk2_step,
 )
@@ -47,11 +46,20 @@ def exact_ternary_m0(t):
 # stepping
 # ---------------------------------------------------------------------------
 
-def test_midpoint_step_linear_decay_amplification():
-    n0 = np.array([2.0, 0.5, 1.25])
-    dt = 0.1
-    stepped = midpoint_step(n0, 0.0, dt, lambda n, t: -n)
-    np.testing.assert_allclose(stepped, (1.0 - dt + dt**2 / 2.0) * n0, rtol=1e-15)
+def test_rk2_step_moves_m0_by_the_scalar_midpoint_rule():
+    # a constant pair kernel closes dM0/dt = -c M0**2 / 2 while no mass
+    # reaches size N, and the midpoint rule maps M0 to M0 + dt f(M0 + dt/2 f(M0))
+    c, dt = 1.5, 0.1
+    kernels = KernelSet({2: constant_tt(c, 2, 32)})
+    state = ConcentrationState(np.r_[2.0, 0.5, 1.25, np.zeros(29)])
+
+    def f(m0):
+        return -c * m0**2 / 2.0
+
+    m0 = moments(state, (0,))[0]
+    expected = m0 + dt * f(m0 + 0.5 * dt * f(m0))
+    stepped = rk2_step(state, dt, kernels)
+    assert moments(stepped, (0,))[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_rk2_step_zero_kernels_leaves_state_unchanged():
@@ -118,10 +126,10 @@ def symmetric_cp(order, n_classes):
 
 def full_length_step(state, dt, kernels):
     """The midpoint step over all N sizes, the reference for `rk2_step`."""
-    def rhs_fn(n, t):
-        return rhs_total(kernels, ConcentrationState(n, t)).s
-
-    return midpoint_step(state.n, state.t, dt, rhs_fn)
+    n, t = state.n, state.t
+    k1 = rhs_total(kernels, ConcentrationState(n, t)).s
+    k2 = rhs_total(kernels, ConcentrationState(n + (0.5 * dt) * k1, t + 0.5 * dt)).s
+    return n + dt * k2
 
 
 TRIMMED_CASES = {

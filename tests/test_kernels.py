@@ -281,12 +281,15 @@ def test_dense_from_spec_matches_element_evaluator():
         assert dense.values[tuple(i - 1 for i in idx)] == pytest.approx(ref, rel=1e-12)
 
 
-def test_dense_budget_guard():
+def test_dense_budget_guard(monkeypatch):
+    import ttagg.kernels as kernels_mod
+
     with pytest.raises(KernelError, match="budget"):
         dense_from_spec(ConstantSpec(1.0, 3), 4096)
     kernel = constant_tt(1.0, 2, 16)
+    monkeypatch.setattr(kernels_mod, "DENSE_ELEMENT_BUDGET", 100)
     with pytest.raises(KernelError, match="budget"):
-        dense_from_tt(kernel, element_budget=100)
+        dense_from_tt(kernel)
 
 
 def test_dense_from_spec_table_binary_and_text(tmp_path):

@@ -126,13 +126,15 @@ def test_dense_paths_match_literal_loops():
 
 
 def test_dense_budget_guard(monkeypatch):
-    import ttagg.rhs as rhs_mod
+    import ttagg.kernels as kernels_mod
 
     kernel = DenseKernel(np.ones((2, 2)))
     state = ConcentrationState(np.ones(2))
-    monkeypatch.setattr(rhs_mod, "DENSE_RHS_BUDGET", 3)
+    monkeypatch.setattr(kernels_mod, "DENSE_ELEMENT_BUDGET", 3)
     with pytest.raises(KernelError, match="budget"):
         rhs_dense_P(kernel, state)
+    with pytest.raises(KernelError, match="budget"):
+        rhs_dense_Q(kernel, state)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +370,16 @@ def test_total_mixed_orders_matches_dense_sum():
     dense2 = dense_from_spec(spec2, n_classes)
     dense3 = dense_from_spec(spec3, n_classes)
     state = ConcentrationState(rng.random(n_classes))
-    result = rhs_total(kernels, state, breakdown=True)
+    result = rhs_total(kernels, state)
     ref_p = rhs_dense_P(dense2, state) + rhs_dense_P(dense3, state)
     ref_q = rhs_dense_Q(dense2, state) + rhs_dense_Q(dense3, state)
     assert rel_inf(result.p, ref_p) < 1e-10
     assert rel_inf(result.q, ref_q) < 1e-10
     np.testing.assert_array_equal(result.s, result.p + result.q)
-    assert sorted(result.by_order) == [2, 3]
-    np.testing.assert_array_equal(
-        sum(pd for pd, _ in result.by_order.values()), result.p
-    )
+    # the totals are the per-order gains and losses, summed in order
+    (p2, q2), (p3, q3) = (rhs_gain_loss(kernels[d], state) for d in (2, 3))
+    np.testing.assert_array_equal(result.p, p2 + p3)
+    np.testing.assert_array_equal(result.q, q2 + q3)
 
 
 def test_total_state_size_mismatch():
@@ -475,8 +477,7 @@ def test_results_do_not_depend_on_worker_count():
 
 
 def test_disabled_parallel_axes_and_loose_reduction_agree():
-    # the serial plan (one worker) against other plans under both length
-    # policies: the transform length moves results by roundoff only
+    # the serial plan (one worker) against more FFT threads
     rng = np.random.default_rng(74)
     n_classes = 64
     kernels = KernelSet(
@@ -484,19 +485,21 @@ def test_disabled_parallel_axes_and_loose_reduction_agree():
     )
     state = ConcentrationState(rng.random(n_classes))
     ref = rhs_total(kernels, state, ExecutionPlan(workers=1)).s
-    variants = [
-        ExecutionPlan(workers=4),
-        ExecutionPlan(workers=4, fft_length_policy="pow2"),
-        ExecutionPlan(workers=1, fft_length_policy="pow2"),
-    ]
-    for plan in variants:
-        assert rel_inf(rhs_total(kernels, state, plan).s, ref) <= 1e-12
+    plan = ExecutionPlan(workers=4)
+    assert rel_inf(rhs_total(kernels, state, plan).s, ref) <= 1e-12
+
+
+class _Pow2Plan(ExecutionPlan):
+    # a longer alias-free length: the smallest power of two at the bound
+    def fft_length(self, order, n_classes):
+        return 1 << (order * (n_classes - 1)).bit_length()
 
 
 def test_fft_length_policies_agree():
+    # any alias-free transform length gives the gain up to roundoff
     rng = np.random.default_rng(73)
     state = ConcentrationState(rng.random(48))
-    fast, pow2 = (ExecutionPlan(fft_length_policy=p) for p in ("fast", "pow2"))
+    fast, pow2 = ExecutionPlan(), _Pow2Plan()
     assert fast.fft_length(3, 48) < pow2.fft_length(3, 48)  # 144 against 256
     tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
     assert rel_inf(rhs_tt_P(tt, state, fast), rhs_tt_P(tt, state, pow2)) <= 1e-12
