@@ -1,9 +1,9 @@
 """Worker counts and the accelerated right-hand side.
 
-The worker count sets only the threads of scipy's FFT backend, which
-splits a batch of fiber transforms by whole rows; weighting, the
-per-frequency chain and the loss contractions run in the calling
-thread.  Every worker count therefore gives the 1-worker bits.  Wall
+No right-hand side reads the worker count: the fiber weighting, the
+transforms, the per-frequency chain and the loss contractions all run
+in the calling thread.  Every worker count therefore gives the 1-worker
+bits, and the times below differ only by noise.  Wall
 times below follow the protocol of the bench subcommand: a discarded
 warm-up, then the median of three timed integrations per worker count.
 The initial vector occupies every size class, so every evaluation
@@ -59,4 +59,4 @@ print(f"{'workers':>8s} {'time, sec':>12s} {'speedup':>9s}")
 for p, t, s in report.rows():
     print(f"{p:8d} {t:12.4f} {s:9.2f}")
 cores = os.cpu_count()
-print(f"(this machine exposes {cores} cores; FFT threads are capped there)")
+print(f"(this machine exposes {cores} cores; no right-hand side uses more than one)")

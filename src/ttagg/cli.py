@@ -32,7 +32,13 @@ from .kernels import (
     dense_from_spec,
 )
 from .parallel import run_scaling_benchmark
-from .rhs import ConcentrationState, rhs_dense_P, rhs_dense_Q, rhs_gain_loss
+from .rhs import (
+    FFT_BACKEND,
+    ConcentrationState,
+    rhs_dense_P,
+    rhs_dense_Q,
+    rhs_gain_loss,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,6 +79,7 @@ def _write_manifest(path: str, config) -> None:
             "ttagg": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "fft": FFT_BACKEND,
             "python": platform.python_version(),
         },
     }

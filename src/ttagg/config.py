@@ -128,6 +128,13 @@ def _numbers(values, what: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{what} entry") for v in values)
 
 
+def _path(value, what: str) -> str:
+    # str() would turn a JSON list or number into a path such as "['odir']"
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _order(key) -> int:
     # JSON object keys are strings; a collision order must read as an integer
     try:
@@ -169,7 +176,9 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
         path = data.get("table_path")
         if not path:
             raise ConfigError("table kernel specification needs 'table_path'")
-        return TableSpec(path=str(path), dimension=_integer(dimension, "kernel 'D'"))
+        return TableSpec(
+            path=_path(path, "'table_path'"), dimension=_integer(dimension, "kernel 'D'")
+        )
     raise ConfigError(f"unknown kernel type {kind!r}")
 
 
@@ -240,7 +249,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
             initial=initial,
             time=grid,
             record_every=_integer(data.get("record_every", 1), "'record_every'"),
-            output_dir=str(data.get("output_dir", "out")),
+            output_dir=_path(data.get("output_dir", "out"), "'output_dir'"),
             workers=_integer(data.get("workers", 1), "'workers'"),
             fft_length_policy=str(data.get("fft_length_policy", "fast")),
             seed=_integer(data.get("seed", 0), "'seed'"),

@@ -7,8 +7,9 @@ kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(N**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: weighted fibers,
 size i stored at slot i-1, zero-padded to an alias-free length of at
-least d(m-1) + 1) and the loss through mode contractions, for
-O(m log m) work per rank pair.  Here m <= N is the state's occupied size,
+least d(m-1) + 1, in buffers the calling thread keeps between calls)
+and the loss through mode contractions, for O(m log m) work per rank
+pair.  Here m <= N is the state's occupied size,
 the largest k with n_k != 0: sizes above m contribute nothing, so the
 fast paths read sizes 1..m only and return exact zeros where the sums
 are empty (gain above min(N, d*m), loss above m).  A
@@ -20,12 +21,14 @@ d moments of the state per rank.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 from .kernels import (
     CPKernel,
@@ -55,6 +58,10 @@ __all__ = [
     "rhs_gain_loss",
     "rhs_total",
 ]
+
+# The FFT binding whose bits the gains carry, for the run manifest; read
+# once here, because a tracer may replace `_fft` while a run is written.
+FFT_BACKEND = _fft.__name__
 
 # Largest sampled relative violation a KernelSet accepts as symmetric.
 _SYMMETRY_TOL = 1e-8
@@ -291,11 +298,12 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # FFT gain scaffold shared by the TT and CP paths
 # ---------------------------------------------------------------------------
 
-# Whole-range seams around the weighting, the combine and the loss
-# contractions: each runs fn(0, total) once, in the calling thread.  They
-# exist only because the benchmark's tracer wraps these two names in this
-# module and reads their (total, workers, fn) arguments; the benchmark
-# change of ROADMAP direction 1 deletes them.
+# Whole-range seams: each runs fn(0, total) once, in the calling thread.
+# The loss contractions call `map_blocked`; nothing calls `run_blocked`
+# since the gain weights its fibers in its workspace.  Both exist only
+# because the benchmark's tracer wraps these two names in this module and
+# reads their (total, workers, fn) arguments; the benchmark change of
+# ROADMAP direction 1 deletes them.
 def run_blocked(total: int, workers: int, fn) -> None:
     fn(0, total)
 
@@ -304,29 +312,88 @@ def map_blocked(total: int, workers: int, fn):
     return fn(0, total)
 
 
+# glibc's malloc mode parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@lru_cache(maxsize=None)
+def _pin_malloc_thresholds() -> None:
+    """Keep freed multi-MB blocks in the process instead of returning them.
+
+    By default glibc serves a block above its mmap threshold with a fresh
+    mapping and unmaps it on free, and trims the heap top above twice that
+    threshold; both adapt to the largest block freed so far, so they stay
+    near the size of pocketfft's per-row scratch (3 MB at full support).
+    That scratch and the step's 1 MB vectors then went back to the kernel
+    after every call and were faulted back in on the next.  On the
+    D = 3, N = 2^17 full-support problem (`resource.getrusage`, 2-core
+    Xeon, glibc 2.36) a warm 2-step solution took 14,189 minor faults with
+    fresh buffers per gain, 12,160 with the gain workspace alone, and 0
+    with these fixed thresholds of 32 MiB (mmap) and 256 MiB (trim).
+    Other C libraries have no `mallopt`, and there this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+class _Workspace:
+    """The buffers of the gains at one transform length L in one thread:
+    `real` rows of L weighted fibers and as many `spectra` rows of
+    L // 2 + 1 bins.  Every real row is zero at columns `dirty` and
+    above."""
+
+    def __init__(self, length: int, rows: int):
+        self.length = length
+        self.real = np.zeros((rows, length))
+        self.spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
+        self.dirty = 0
+
+
+_WORKSPACE = threading.local()
+
+
+def _workspace(length: int, rows: int) -> _Workspace:
+    # a thread keeps only its latest length: trimmed lengths grow with the
+    # occupied size, and a set of orders alternates between its lengths
+    workspace = getattr(_WORKSPACE, "held", None)
+    if workspace is None or workspace.length != length or len(workspace.real) < rows:
+        _pin_malloc_thresholds()
+        workspace = _WORKSPACE.held = _Workspace(length, rows)
+    return workspace
+
+
 def _fft_gain(
-    groups, combine, scale: float, state: ConcentrationState, order: int,
+    fibers, fold, scale: float, state: ConcentrationState, order: int,
     plan: ExecutionPlan,
 ) -> np.ndarray:
     """Truncated order-d gain from FFT convolutions of weighted fibers.
 
-    Every leading index of an array in `groups` is one fiber over sizes
-    1..N (the last axis).  Only the occupied sizes 1..m of the state
-    (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.  Pipeline: (1) weight each fiber's first
-    m entries by the concentrations into a zeroed (rows, L) buffer, size i
-    at column i-1; (2) transform all rows at once; (3) `combine(spectra)`
-    reduces the per-group spectra to one spectrum; (4) inverse-transform;
-    (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
-    give p_d..p_top, times `scale`, with top = min(N, d*m).  The largest
-    index sum fills column d(m-1), so the plan's length L >= d(m-1) + 1
-    keeps every column alias-free.
+    Every entry of `fibers` is a vector over sizes 1..N.  Only the
+    occupied sizes 1..m of the state (`ConcentrationState.occupied_size`)
+    enter: a d-tuple with a size above m has a zero product.  Pipeline,
+    in the calling thread's workspace (`_workspace`): (1) weight each
+    fiber's first m entries by the concentrations into a real row, size i
+    at column i-1, zeros above; (2) transform all rows in one call;
+    (3) `fold(spectra)` combines the spectra in place and returns the row
+    that holds the combined spectrum; (4) inverse-transform it into real
+    row 0, whose tail is zeroed again afterwards; (5) index
+    sum k of d sizes sits at column k - d, so columns 0..top-d give
+    p_d..p_top, times `scale`, with top = min(N, d*m).  The largest index
+    sum fills column d(m-1), so the plan's length L >= d(m-1) + 1 keeps
+    every column alias-free.
     Every other entry of p is an exact 0.0; so is all of p for an
-    all-zero state, which skips the transforms.
+    all-zero state, which skips the transforms.  p is the only array a
+    warm call allocates.
 
-    Only the transforms use the plan's worker count, and the FFT backend
-    splits them by whole rows, so the output is bitwise the same for every
-    worker count.
+    Every step runs in the calling thread, so the output is bitwise the
+    same for every worker count.
     """
     n = state.n
     occupied = state.occupied_size
@@ -335,51 +402,46 @@ def _fft_gain(
     if top < order:
         return p
     length = plan.fft_length(order, occupied)
-    row_counts = [math.prod(group.shape[:-1]) for group in groups]
-    buf = np.zeros((sum(row_counts), length))
-    views = _split_rows(buf, groups, row_counts)
-
-    def weight(lo, hi):
-        for group, view in zip(groups, views):
-            np.multiply(group[..., lo:hi], n[lo:hi], out=view[..., lo:hi])
-
-    run_blocked(occupied, plan.workers, weight)
-
-    spectra = _fft.rfft(buf, axis=1, workers=plan.fft_workers)
-    spec_groups = _split_rows(spectra, groups, row_counts)
-    combined = map_blocked(
-        spectra.shape[1],
-        plan.workers,
-        lambda lo, hi: combine([spec[..., lo:hi] for spec in spec_groups]),
-    )
-
-    coeffs = _fft.irfft(combined, n=length, workers=plan.fft_workers)
-    p[order - 1 : top] = coeffs[: top - order + 1] * scale
+    workspace = _workspace(length, len(fibers))
+    if workspace.dirty > occupied:
+        workspace.real[:, occupied : workspace.dirty] = 0.0
+    workspace.dirty = length  # until this call has cleared what it wrote
+    real = workspace.real[: len(fibers)]
+    spectra = workspace.spectra[: len(fibers)]
+    head = n[:occupied]
+    for fiber, row in zip(fibers, real):
+        np.multiply(fiber[:occupied], head, out=row[:occupied])
+    # one call for all rows: each numpy FFT call pays a cost that grows
+    # with L (3 rows at L = 393216: 21-22 ms in one call, 23-25 ms in three)
+    _fft.rfft(real, axis=1, out=spectra)
+    coeffs = real[0]
+    _fft.irfft(fold(spectra), n=length, out=coeffs)
+    np.multiply(coeffs[: top - order + 1], scale, out=p[order - 1 : top])
+    coeffs[occupied:] = 0.0
+    workspace.dirty = occupied
     return p
-
-
-def _split_rows(array, groups, row_counts):
-    # one view of `array` per group, with the group's fiber indices restored
-    views, start = [], 0
-    for group, rows in zip(groups, row_counts):
-        views.append(array[start : start + rows].reshape(group.shape[:-1] + (-1,)))
-        start += rows
-    return views
 
 
 # ---------------------------------------------------------------------------
 # tensor-train fast paths
 # ---------------------------------------------------------------------------
 
-def _tt_chain(spectra):
+def _tt_fold(spectra, ranks):
     # per bin, chain the cores' R_prev x R_next spectral matrices left to
-    # right into a scalar; spectra[lam] has shape (R_prev, R_next, bins)
-    v = spectra[0][0]
-    for spec in spectra[1:]:
-        acc = v[0] * spec[0]
-        for rp in range(1, spec.shape[0]):
-            acc += v[rp] * spec[rp]
-        v = acc
+    # right into a scalar, in place in each core's rows: row (rp, rn)
+    # becomes v[rp] S[rp, rn], and row (0, rn) adds them up over rp in
+    # order and becomes the next v[rn]; the first core's rows are v
+    v = spectra[: ranks[1]]
+    start = ranks[1]
+    for r_prev, r_next in zip(ranks[1:-1], ranks[2:]):
+        core = spectra[start : start + r_prev * r_next].reshape(r_prev, r_next, -1)
+        start += r_prev * r_next
+        for rn in range(r_next):
+            np.multiply(v[0], core[0, rn], out=core[0, rn])
+            for rp in range(1, r_prev):
+                np.multiply(v[rp], core[rp, rn], out=core[rp, rn])
+                np.add(core[0, rn], core[rp, rn], out=core[0, rn])
+        v = core[0]
     return v[0]
 
 
@@ -396,8 +458,13 @@ def rhs_tt_P(
     """
     d, _ = _check_pair(kernel, state)
     return _fft_gain(
-        [core.transpose(0, 2, 1) for core in kernel.cores],
-        _tt_chain,
+        [
+            core[rp, :, rn]
+            for core in kernel.cores
+            for rp in range(core.shape[0])
+            for rn in range(core.shape[2])
+        ],
+        lambda spectra: _tt_fold(spectra, kernel.ranks),
         1.0 / math.factorial(d),
         state,
         d,
@@ -440,13 +507,16 @@ def rhs_tt_Q(
 # CP fast paths
 # ---------------------------------------------------------------------------
 
-def _cp_product(spectra):
-    # per bin, multiply the modes' spectra and sum over ranks;
-    # spectra[m] has shape (R, bins)
-    acc = spectra[0] * spectra[1]
-    for spec in spectra[2:]:
-        acc *= spec
-    return acc.sum(axis=0)
+def _cp_fold(spectra, order: int):
+    # per bin, multiply each rank's d mode spectra in mode order into the
+    # rank's first row, and add the ranks in order into row 0
+    acc = spectra[0]
+    for r, modes in enumerate(spectra.reshape(-1, order, spectra.shape[-1])):
+        for spec in modes[1:]:
+            np.multiply(modes[0], spec, out=modes[0])
+        if r:
+            np.add(acc, modes[0], out=acc)
+    return acc
 
 
 def rhs_cp_P(
@@ -467,8 +537,8 @@ def rhs_cp_P(
     d, _ = _check_pair(kernel, state)
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
     return _fft_gain(
-        [factor.T for factor in kernel.factors],
-        _cp_product,
+        [factor[:, r] for r in range(kernel.rank) for factor in kernel.factors],
+        lambda spectra: _cp_fold(spectra, d),
         scale,
         state,
         d,

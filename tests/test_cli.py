@@ -55,9 +55,10 @@ def test_simulate_zero_kernel_keeps_moments_constant(tmp_path):
     for step in range(6):
         assert (tmp_path / "out" / f"n_{step}.csv").exists()
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-    assert set(manifest["versions"]) >= {"ttagg", "numpy", "scipy", "python"}
+    assert set(manifest["versions"]) >= {"ttagg", "numpy", "scipy", "fft", "python"}
     # the FFT backend decides the bits a manifest re-run reproduces
     assert manifest["versions"]["scipy"] == scipy.__version__
+    assert manifest["versions"]["fft"] == "numpy.fft"
 
 
 def test_simulate_ternary_reference_matches_closed_form(tmp_path):
@@ -109,15 +110,24 @@ def test_simulate_invalid_config_is_validation_error(tmp_path, capsys):
             "collision order 'x' must be an integer",
         ),
         ({"fft_length_policy": "pow2"}, "'pow2'; the only one is 'fast'"),
+        ({"output_dir": ["odir"]}, "'output_dir' must be a string, got list"),
+        ({"output_dir": 7}, "'output_dir' must be a string, got int"),
+        (
+            {"kernels": {"2": {"type": "table", "D": 2, "table_path": ["pair.bin"]}}},
+            "'table_path' must be a string, got list",
+        ),
     ],
     ids=[
         "array", "kernel-number", "time-number", "initial-array", "mu-number",
         "values-object", "verify-oracle-string", "order-key-letter", "policy-pow2",
+        "output-dir-list", "output-dir-number", "table-path-list",
     ],
 )
 def test_simulate_malformed_config_shape_is_validation_error(
-    tmp_path, capsys, overrides, message
+    tmp_path, monkeypatch, capsys, overrides, message
 ):
+    # a path that is not refused would be created relative to the cwd
+    monkeypatch.chdir(tmp_path)
     if overrides is None:
         config_path = str(tmp_path / "config.json")
         (tmp_path / "config.json").write_text("[1, 2]")

@@ -30,15 +30,15 @@ def test_execution_plan_validation_and_fft_lengths():
 
 
 def test_execution_plan_axis_toggles():
-    # the worker count is the one parallel axis left: it sets only the FFT
-    # backend's threads, capped by the core count
+    # the worker count is the one parallel axis left; it is kept and
+    # validated, and no right-hand side reads it, so nothing derives a
+    # thread count from it
     assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
         "workers",
         "fft_length_policy",
     ]
-    full = ExecutionPlan(workers=8)
-    assert 1 <= full.fft_workers <= 8
-    assert ExecutionPlan(workers=1).fft_workers == 1
+    assert ExecutionPlan(workers=8).workers == 8
+    assert not hasattr(ExecutionPlan(workers=8), "fft_workers")
 
 
 def _is_5_smooth(value):

@@ -1,6 +1,9 @@
 """Gain/loss operators: dense references, fast paths, conservation laws."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,6 +15,7 @@ from ttagg.kernels import (
     DenseKernel,
     KernelError,
     SymmetrizedCPKernel,
+    TTKernel,
     brownian_symmetrized_cp,
     build_brownian_tt,
     constant_tt,
@@ -584,6 +588,116 @@ def test_gain_and_loss_are_exact_zeros_above_the_occupied_sizes(order):
             p4, q4 = rhs_gain_loss(kernel, state, ExecutionPlan(workers=4))
             np.testing.assert_array_equal(p4, p)
             np.testing.assert_array_equal(q4, q)
+
+
+def _symmetric_rank2_cp(n_classes):
+    factor = np.random.default_rng(7).uniform(0.5, 1.5, size=(n_classes, 2))
+    return CPKernel((factor, factor, factor))
+
+
+@pytest.mark.parametrize(
+    "make_kernel",
+    [
+        lambda n: brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n),
+        lambda n: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n),
+        _symmetric_rank2_cp,
+        lambda n: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n),
+    ],
+    ids=["symmetrized-cp-d3", "symmetrized-cp-d4", "cp-rank2-d3", "tt-d3"],
+)
+def test_warm_full_support_gain_allocates_only_its_result(make_kernel):
+    # the weighted rows, spectra and inverse output live in the thread's
+    # workspace, so after one call a gain allocates little beyond p itself
+    n_classes = 1 << 15
+    kernel = make_kernel(n_classes)
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    gain = rhs_tt_P if isinstance(kernel, TTKernel) else rhs_cp_P
+    gain(kernel, state)  # builds the workspace for this length
+    tracemalloc.start()
+    try:
+        p = gain(kernel, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.nbytes == n_classes * 8
+    assert peak <= 2 * n_classes * 8
+
+
+def test_reused_workspace_gives_the_bits_of_a_fresh_one():
+    # the thread's buffers are reused at one transform length: a state
+    # with fewer occupied sizes, evaluated after a larger one and after
+    # the inverse transform reused a row, must see zeros above its sizes
+    n_classes = 256
+    kernel = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)
+    plan = ExecutionPlan()
+    large = 200
+    length = plan.fft_length(3, large)
+    small = min(m for m in range(2, large) if plan.fft_length(3, m) == length)
+    assert small < large
+    rng = np.random.default_rng(29)
+    states = {}
+    for occupied in (large, small):
+        n = rng.random(n_classes)
+        n[occupied:] = 0.0
+        states[occupied] = ConcentrationState(n)
+    fresh = {}
+    for occupied, state in states.items():
+        # a new thread starts with no workspace
+        thread = threading.Thread(
+            target=lambda m=occupied, s=state: fresh.update({m: rhs_cp_P(kernel, s)})
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert sorted(fresh) == [small, large]
+    for order in ((large, small, large), (small, large, small)):
+        for occupied in order:
+            np.testing.assert_array_equal(rhs_cp_P(kernel, states[occupied]), fresh[occupied])
+
+
+def test_concurrent_gains_reproduce_the_serial_bits():
+    # every thread owns its workspace: four threads on two cores evaluate
+    # states whose transform lengths differ, and each result keeps the
+    # serial bits
+    n_classes = 4096
+    kernels = KernelSet(
+        {3: brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)}
+    )
+    rng = np.random.default_rng(23)
+    states = []
+    for occupied in (n_classes, 300):
+        n = rng.random(n_classes)
+        n[occupied:] = 0.0
+        states.append(ConcentrationState(n))
+    serial = [rhs_total(kernels, state) for state in states]
+    barrier = threading.Barrier(4)
+    done, errors = [], []
+
+    def evaluate(which):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(25):
+                result = rhs_total(kernels, states[which])
+                np.testing.assert_array_equal(result.p, serial[which].p)
+                np.testing.assert_array_equal(result.q, serial[which].q)
+            done.append(which)
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=evaluate, args=(i % 2,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert sorted(done) == [0, 0, 1, 1]
 
 
 # ---------------------------------------------------------------------------
