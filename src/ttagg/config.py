@@ -264,7 +264,7 @@ def config_to_dict(config: SimulationConfig) -> dict:
     if config.initial.kind == "monodisperse":
         initial["c0"] = config.initial.c0
     else:
-        initial["values"] = [float(v) for v in config.initial.values]
+        initial["values"] = config.initial.values.tolist()
     return {
         "N": config.n_classes,
         "D": config.dimension,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import KernelError
 from .parallel import ExecutionPlan
 from .rhs import ConcentrationState, KernelSet, rhs_total
 
@@ -62,13 +63,16 @@ class TimeGrid:
             raise ValueError("steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialCondition:
-    """Monodisperse start (all mass at size 1) or an explicit vector."""
+    """Monodisperse start (all mass at size 1) or an explicit vector.
+
+    A vector start keeps its values as one read-only float64 array.
+    """
 
     kind: str
     c0: float = 1.0
-    values: tuple[float, ...] | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("monodisperse", "vector"):
@@ -76,12 +80,26 @@ class InitialCondition:
         if self.kind == "vector":
             if self.values is None:
                 raise ValueError("vector initial condition needs values")
-            values = np.asarray(self.values, dtype=np.float64)
+            values = np.array(self.values, dtype=np.float64)
             if values.ndim != 1:
                 raise ValueError("initial values must be a vector")
             if np.any(values < 0):
                 raise ValueError("initial concentrations must be nonnegative")
-            object.__setattr__(self, "values", tuple(float(v) for v in values))
+            values.setflags(write=False)
+            object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, InitialCondition):
+            return NotImplemented
+        if (self.kind, self.c0) != (other.kind, other.c0):
+            return False
+        if self.values is None or other.values is None:
+            return self.values is other.values
+        return bool(np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        # equal vectors may differ in the sign of a zero, so hash the length
+        return hash((self.kind, self.c0, None if self.values is None else len(self.values)))
 
     @classmethod
     def monodisperse(cls, c0: float = 1.0) -> "InitialCondition":
@@ -96,11 +114,11 @@ class InitialCondition:
             n = np.zeros(n_classes)
             n[0] = self.c0
         else:
-            if len(self.values) != n_classes:
+            if self.values.size != n_classes:
                 raise ValueError(
-                    f"initial vector has length {len(self.values)}, expected {n_classes}"
+                    f"initial vector has length {self.values.size}, expected {n_classes}"
                 )
-            n = np.array(self.values)
+            n = self.values
         return ConcentrationState(n, t0)
 
 
@@ -126,7 +144,12 @@ class MomentSeries:
         self.m0.append(m[0])
         self.m1.append(m[1])
         self.m2.append(m[2])
-        self.min_n.append(float(state.n.min()))
+        # the sizes above the occupied ones are zeros, so with any of them
+        # the minimum is at most 0
+        head = state.n[: state.occupied_size]
+        self.min_n.append(
+            float(head.min(initial=0.0) if head.size < state.n_classes else head.min())
+        )
         ref = self.m1[0]
         self.m1_drift.append((m[1] - ref) / ref if ref else 0.0)
 
@@ -138,27 +161,17 @@ class MomentSeries:
 
 
 def moments(state: ConcentrationState, orders) -> list[float]:
-    """Power moments M_m = sum_k k**m n_k for each requested order m >= 0."""
-    sizes = np.arange(1, state.n_classes + 1, dtype=np.float64)
+    """Power moments M_m = sum_k k**m n_k for each requested order m >= 0,
+    summed over the occupied sizes."""
+    n = state.n[: state.occupied_size]
+    sizes = np.arange(1, n.size + 1, dtype=np.float64)
     out = []
     for m in orders:
         m = int(m)
         if m < 0:
             raise ValueError("moment orders must be >= 0")
-        out.append(float((sizes**m) @ state.n))
+        out.append(float((sizes**m) @ n))
     return out
-
-
-def _rhs_head(
-    kernels: KernelSet,
-    state: ConcentrationState,
-    plan: ExecutionPlan | None,
-    reach: int,
-) -> np.ndarray:
-    # p + q over sizes 1..reach; the full-length p and q are freed on
-    # return, before the step allocates its next state (peak memory)
-    result = rhs_total(kernels, state, plan)
-    return result.p[:reach] + result.q[:reach]
 
 
 def rk2_step(
@@ -173,22 +186,27 @@ def rk2_step(
     midpoint state n + (dt/2) k1, give n + dt k2.  A right-hand side is an
     exact zero above `KernelSet.reach` of the occupied size m, so with
     d_max the largest order the two stages touch only sizes 1..reach,
-    reach = min(N, d_max**2 * m).  The step runs on that head and pads
-    the result with exact zeros to length N; the bits are those of the
-    same step over all N sizes.
+    reach = min(N, d_max**2 * m).  Both stages run on states over those
+    sizes, and only the new state is padded with exact zeros to length N;
+    the bits are those of the same step over all N sizes.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n_classes = state.n_classes
     try:
+        if state.n_classes != kernels.n_classes:
+            raise KernelError(
+                f"kernel set has N = {kernels.n_classes}, state has N = {state.n_classes}"
+            )
         reach = kernels.reach(kernels.reach(state.occupied_size))
-        n = state.n[:reach]
-        k1 = _rhs_head(kernels, state, plan, reach)
+        head = state._head(reach)
+        k1 = rhs_total(kernels, head, plan).s
         mid = ConcentrationState._from_head(
-            n + (0.5 * dt) * k1, n_classes, state.t + 0.5 * dt
+            head.n + (0.5 * dt) * k1, reach, state.t + 0.5 * dt
         )
-        k2 = _rhs_head(kernels, mid, plan, reach)
-        return ConcentrationState._from_head(n + dt * k2, n_classes, state.t + dt)
+        k2 = rhs_total(kernels, mid, plan).s
+        return ConcentrationState._from_head(
+            head.n + dt * k2, state.n_classes, state.t + dt
+        )
     except ValueError as exc:
         raise StepFailureError(f"time step failed: {exc}") from exc
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -186,12 +186,20 @@ class TTKernel:
 
 @dataclass(frozen=True)
 class _FactorKernel:
-    """One N x R factor matrix per mode; the subclass says how they combine."""
+    """One N x R factor matrix per mode; the subclass says how they combine.
+
+    The factors are stored once, as the rows of `fibers`, an (R * D, N)
+    array whose row r * D + m is column r of factor m.  Each entry of
+    `factors` is a read-only view of it, so a gain weights contiguous
+    rows, and a loss takes all D * R moments and its tail in one
+    matrix-vector product each.
+    """
 
     factors: tuple[np.ndarray, ...]
+    fibers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        factors = tuple(_readonly(f) for f in self.factors)
+        factors = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
         if len(factors) < 2:
             raise KernelError("a CP kernel needs at least two factors")
         shape = factors[0].shape
@@ -200,7 +208,24 @@ class _FactorKernel:
         for f in factors:
             if f.shape != shape:
                 raise KernelError("all CP factors must share the same N x R shape")
-        object.__setattr__(self, "factors", factors)
+        d = len(factors)
+        fibers = np.empty((shape[1] * d, shape[0]))
+        for m, f in enumerate(factors):
+            fibers[m::d] = f.T
+        self._adopt(fibers, d)
+
+    @classmethod
+    def _from_fibers(cls, fibers: np.ndarray, dimension: int):
+        """The kernel stored in `fibers`, a fresh float64 (R * D, N) array
+        that the caller hands over: adopted as it is, with no copy."""
+        kernel = cls.__new__(cls)
+        kernel._adopt(fibers, dimension)
+        return kernel
+
+    def _adopt(self, fibers: np.ndarray, d: int) -> None:
+        fibers.setflags(write=False)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "factors", tuple(fibers[m::d].T for m in range(d)))
 
     @property
     def dimension(self) -> int:
@@ -431,9 +456,11 @@ def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCP
     with factor m the power vector i**mu_m."""
     if n_classes < 1:
         raise KernelError("n_classes must be >= 1")
-    return SymmetrizedCPKernel(
-        tuple(_power_vector(n_classes, mu)[:, None] for mu in spec.exponents)
-    )
+    # row m is _power_vector(n_classes, mu_m), computed in place
+    sizes = np.arange(1, n_classes + 1, dtype=np.float64)
+    fibers = np.multiply.outer(np.array(spec.exponents), np.log(sizes))
+    np.exp(fibers, out=fibers)
+    return SymmetrizedCPKernel._from_fibers(fibers, spec.dimension)
 
 
 # ---------------------------------------------------------------------------

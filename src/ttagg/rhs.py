@@ -4,19 +4,25 @@ For each collision order d the gain vector collects, with weight 1/d!,
 all d-tuples of sizes summing to k; the loss vector drains size k in
 proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
-O(N**d) and serve as ground truth; the tensor-train and CP paths push
+O(m**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: weighted fibers,
 size i stored at slot i-1, zero-padded to an alias-free length of at
 least d(m-1) + 1, in buffers the calling thread keeps between calls)
 and the loss through mode contractions, for O(m log m) work per rank
-pair.  Here m <= N is the state's occupied size,
-the largest k with n_k != 0: sizes above m contribute nothing, so the
-fast paths read sizes 1..m only and return exact zeros where the sums
-are empty (gain above min(N, d*m), loss above m).  A
-symmetrized CP kernel sums the plain CP form over all d! slot orders;
-every order gives the same index-sum convolution, so its gain is one
-d-fold convolution with weight 1, and its loss is a closed form in
-d moments of the state per rank.
+pair.  Here m is the state's occupied size, the largest k with
+n_k != 0: sizes above m contribute nothing, so every path reads sizes
+1..m only and returns exact zeros where the sums are empty (gain above
+min(R, d*m), loss above m).
+
+Every operator takes a state over sizes 1..R for any R <= the kernel's
+N, treats the sizes above R as empty, and returns vectors over 1..R:
+entry k is entry k of the result for the state padded with zeros to N.
+So a caller that knows where the result ends (`KernelSet.reach`) pays
+for the sizes up to there, not for all N.  A symmetrized CP kernel sums
+the plain CP form over all d! slot orders; every order gives the same
+index-sum convolution, so its gain is one d-fold convolution with
+weight 1, and its loss is a closed form in d moments of the state per
+rank.
 """
 
 from __future__ import annotations
@@ -69,10 +75,12 @@ _SYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ConcentrationState:
-    """Per-size mean concentrations n_1..n_N at time t.
+    """Per-size mean concentrations n_1..n_R at time t.
 
-    Entries must be finite; negative values are allowed here and watched
-    by the integrator.
+    R is N for a whole state; a right-hand side also takes a state over
+    the first R <= N sizes, whose sizes above R are empty.  Entries must
+    be finite; negative values are allowed here and watched by the
+    integrator.
     """
 
     n: np.ndarray
@@ -101,13 +109,26 @@ class ConcentrationState:
         """
         if not np.all(np.isfinite(head)):
             raise ValueError("concentration state contains non-finite entries")
-        n = _zero_padded(head, n_classes)
+        n = head
+        if head.size != n_classes:
+            n = np.zeros(n_classes)
+            n[: head.size] = head
         n.setflags(write=False)
+        return cls._trusted(n, t, _last_nonzero_size(head))
+
+    @classmethod
+    def _trusted(cls, n: np.ndarray, t: float, occupied: int):
+        # a state over a read-only float64 vector the caller vouches for
         state = cls.__new__(cls)
         object.__setattr__(state, "n", n)
         object.__setattr__(state, "t", float(t))
-        state.__dict__["occupied_size"] = _last_nonzero_size(head)
+        state.__dict__["occupied_size"] = occupied
         return state
+
+    def _head(self, reach: int):
+        """This state over sizes 1..reach, for reach >= `occupied_size`: the
+        sizes it drops are zeros.  It shares this state's array."""
+        return self._trusted(self.n[:reach], self.t, self.occupied_size)
 
     @property
     def n_classes(self) -> int:
@@ -126,16 +147,6 @@ def _last_nonzero_size(n: np.ndarray) -> int:
     nonzero = n[::-1] != 0
     last = int(np.argmax(nonzero))  # first True from the end
     return n.size - last if nonzero[last] else 0
-
-
-def _zero_padded(head: np.ndarray, n_classes: int) -> np.ndarray:
-    # a vector over sizes 1..len(head), extended by exact zeros to all N;
-    # a full-length head is returned as it is
-    if head.size == n_classes:
-        return head
-    out = np.zeros(n_classes)
-    out[: head.size] = head
-    return out
 
 
 def kernel_element(kernel, idx) -> float:
@@ -250,12 +261,24 @@ class RhsResult:
 # dense reference operators
 # ---------------------------------------------------------------------------
 
-def _check_pair(kernel, state: ConcentrationState) -> tuple[int, int]:
-    if kernel.n_classes != state.n_classes:
+def _check_pair(kernel, state: ConcentrationState) -> int:
+    # a state may cover fewer sizes than the kernel, never more
+    if state.n_classes > kernel.n_classes:
         raise KernelError(
-            f"kernel has N = {kernel.n_classes}, state has N = {state.n_classes}"
+            f"state has {state.n_classes} sizes, more than the kernel's "
+            f"N = {kernel.n_classes}"
         )
-    return kernel.dimension, kernel.n_classes
+    return kernel.dimension
+
+
+def _loss(n: np.ndarray, tail: np.ndarray, weight: float, n_classes: int) -> np.ndarray:
+    # q_k = -n_k tail_k / weight over the occupied sizes of n, and exact
+    # zeros above them up to n_classes
+    q = np.zeros(n_classes)
+    head = q[: n.size]
+    np.multiply(n, tail, out=head)
+    np.divide(head, -weight, out=head)
+    return q
 
 
 @lru_cache(maxsize=8)
@@ -267,31 +290,41 @@ def _index_sum_grid(order: int, n_classes: int) -> np.ndarray:
 
 
 def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
-    """Gain vector by direct summation over all d-tuples (O(N**d))."""
-    d, n_classes = _check_pair(kernel, state)
-    _check_budget(n_classes, d)
-    weighted = kernel.values.copy()
+    """Gain vector by direct summation over all d-tuples of occupied
+    sizes (O(m**d))."""
+    d = _check_pair(kernel, state)
+    _check_budget(kernel.n_classes, d)
+    occupied = state.occupied_size
+    n = state.n[:occupied]
+    head = (slice(0, occupied),) * d
+    weighted = kernel.values[head].copy()
     for axis in range(d):
         shape = [1] * d
-        shape[axis] = n_classes
-        weighted *= state.n.reshape(shape)
-    sums = _index_sum_grid(d, n_classes)
+        shape[axis] = occupied
+        weighted *= n.reshape(shape)
+    # the tuples of the kernel's grid in the same order, so every total
+    # adds the same terms in the same order as over all N sizes
+    sums = _index_sum_grid(d, kernel.n_classes)[head]
     totals = np.bincount(
-        sums.ravel(), weights=weighted.ravel(), minlength=d * n_classes + 1
+        sums.ravel(), weights=weighted.ravel(), minlength=d * occupied + 1
     )
-    p = np.zeros(n_classes)
-    p[d - 1:] = totals[d : n_classes + 1] / math.factorial(d)
+    top = min(state.n_classes, d * occupied)
+    p = np.zeros(state.n_classes)
+    p[d - 1 : top] = totals[d : top + 1] / math.factorial(d)
     return p
 
 
 def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
-    """Loss vector by contracting the first d-1 modes with the state."""
-    d, _ = _check_pair(kernel, state)
+    """Loss vector by contracting the first d-1 modes with the occupied
+    sizes of the state."""
+    d = _check_pair(kernel, state)
     _check_budget(kernel.n_classes, d)
-    w = kernel.values
+    occupied = state.occupied_size
+    n = state.n[:occupied]
+    w = kernel.values[(slice(0, occupied),) * d]
     for _ in range(d - 1):
-        w = np.tensordot(state.n, w, axes=(0, 0))
-    return -(state.n * w) / math.factorial(d - 1)
+        w = np.tensordot(n, w, axes=(0, 0))
+    return _loss(n, w, math.factorial(d - 1), state.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +408,10 @@ def _fft_gain(
 ) -> np.ndarray:
     """Truncated order-d gain from FFT convolutions of weighted fibers.
 
-    Every entry of `fibers` is a vector over sizes 1..N.  Only the
-    occupied sizes 1..m of the state (`ConcentrationState.occupied_size`)
-    enter: a d-tuple with a size above m has a zero product.  Pipeline,
+    Every entry of `fibers` is a vector over sizes 1..N, and the state
+    covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
+    (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
+    above m has a zero product.  Pipeline,
     in the calling thread's workspace (`_workspace`): (1) weight each
     fiber's first m entries by the concentrations into a real row, size i
     at column i-1, zeros above; (2) transform all rows in one call;
@@ -385,7 +419,7 @@ def _fft_gain(
     that holds the combined spectrum; (4) inverse-transform it into real
     row 0, whose tail is zeroed again afterwards; (5) index
     sum k of d sizes sits at column k - d, so columns 0..top-d give
-    p_d..p_top, times `scale`, with top = min(N, d*m).  The largest index
+    p_d..p_top, times `scale`, with top = min(R, d*m).  The largest index
     sum fills column d(m-1), so the plan's length L >= d(m-1) + 1 keeps
     every column alias-free.
     Every other entry of p is an exact 0.0; so is all of p for an
@@ -456,7 +490,7 @@ def rhs_tt_P(
     gives the index-sum convolution, scaled by 1/d!.  See `_fft_gain` for
     the layout and the alias-free transform length.
     """
-    d, _ = _check_pair(kernel, state)
+    d = _check_pair(kernel, state)
     return _fft_gain(
         [
             core[rp, :, rn]
@@ -493,14 +527,14 @@ def rhs_tt_Q(
     over the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
     """
     plan = plan or SERIAL_PLAN
-    d, n_classes = _check_pair(kernel, state)
+    d = _check_pair(kernel, state)
     occupied = state.occupied_size
     n = state.n[:occupied]
     w = _contract_core(kernel.cores[0][:, :occupied], n, plan)  # (1, R1)
     for lam in range(1, d - 1):
         w = w @ _contract_core(kernel.cores[lam][:, :occupied], n, plan)
     tail = w[0] @ kernel.cores[d - 1][:, :occupied, 0]
-    return _zero_padded(-(n * tail) / math.factorial(d - 1), n_classes)
+    return _loss(n, tail, math.factorial(d - 1), state.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +568,10 @@ def rhs_cp_P(
     kernel's d! slot orders each contribute the same convolution, which
     cancels it, so its weight is 1.
     """
-    d, _ = _check_pair(kernel, state)
+    d = _check_pair(kernel, state)
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
     return _fft_gain(
-        [factor[:, r] for r in range(kernel.rank) for factor in kernel.factors],
+        kernel.fibers,
         lambda spectra: _cp_fold(spectra, d),
         scale,
         state,
@@ -546,13 +580,21 @@ def rhs_cp_P(
     )
 
 
-def _factor_moments(factors, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # S[m, r] = sum_i factors[m][i, r] * n_i for every given factor
+def _factor_moments(fibers: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
+    # S[c] = sum_i fibers[c, i] * n_i for every fiber row c, in one BLAS
+    # matrix-vector product; numpy's own matmul loop, which `@` takes for
+    # an (m, 1) factor, took 0.94 ms against 0.095 ms at m = 2^17 (2-core
+    # Xeon)
     return map_blocked(
-        n.size,
-        plan.workers,
-        lambda lo, hi: np.stack([n[lo:hi] @ f[lo:hi] for f in factors]),
+        n.size, plan.workers, lambda lo, hi: np.dot(fibers[:, lo:hi], n[lo:hi])
     )
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(order: int) -> np.ndarray:
+    mask = ~np.eye(order, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def rhs_cp_Q(
@@ -560,37 +602,31 @@ def rhs_cp_Q(
     state: ConcentrationState,
     plan: ExecutionPlan | None = None,
 ) -> np.ndarray:
-    """Loss vector through a CP or symmetrized CP kernel, O(N d R).
+    """Loss vector through a CP or symmetrized CP kernel, O(m d R).
 
-    CP: the first d-1 factors are contracted with the state into per-rank
+    With S_{m,r} = sum_i f_{m,r}(i) n_i over the occupied sizes, all d*R
+    moments come from one matrix-vector product with the kernel's fiber
+    rows.  CP: the moments of the first d-1 factors multiply into per-rank
     scalars and the last factor supplies the per-size tail, which assumes
-    a symmetric kernel.  Symmetrized CP: with S_{m,r} = sum_i f_{m,r}(i) n_i,
-    the loss is Q_k = -n_k sum_r sum_m f_{m,r}(k) prod_{m' != m} S_{m',r};
-    the (d-1)! orders of the other slots cancel the 1/(d-1)!, and no
-    symmetry is assumed.  Moments and tail run over the occupied sizes
-    1..m only; q_k is an exact 0.0 for k > m.
+    a symmetric kernel.  Symmetrized CP: the loss is
+    Q_k = -n_k sum_r sum_m f_{m,r}(k) prod_{m' != m} S_{m',r}, one more
+    matrix-vector product; the (d-1)! orders of the other slots cancel
+    the 1/(d-1)!, and no symmetry is assumed.  Moments and tail run over
+    the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
     """
     plan = plan or SERIAL_PLAN
-    d, n_classes = _check_pair(kernel, state)
+    d = _check_pair(kernel, state)
     occupied = state.occupied_size
     n = state.n[:occupied]
-    factors = [factor[:occupied] for factor in kernel.factors]
+    fibers = kernel.fibers[:, :occupied]
+    moments = _factor_moments(fibers, n, plan).reshape(kernel.rank, d)
     if isinstance(kernel, SymmetrizedCPKernel):
-        moments = _factor_moments(factors, n, plan)
-        tail = np.zeros(occupied)
-        for m, factor in enumerate(factors):
-            others = np.ones(kernel.rank)
-            for other in range(d):
-                if other != m:
-                    others = others * moments[other]
-            tail += factor @ others
-        return _zero_padded(-(n * tail), n_classes)
-    moments = _factor_moments(factors[: d - 1], n, plan)
-    scalars = np.ones(kernel.rank)
-    for mode in range(d - 1):
-        scalars = scalars * moments[mode]
-    tail = factors[d - 1] @ scalars
-    return _zero_padded(-(n * tail) / math.factorial(d - 1), n_classes)
+        # others[r, m] = prod_{m' != m} S[m', r], the modes in order
+        others = np.where(_off_diagonal(d), moments[:, None, :], 1.0).prod(axis=2)
+        tail = np.dot(others.ravel(), fibers)
+        return _loss(n, tail, 1.0, state.n_classes)
+    tail = np.dot(moments[:, : d - 1].prod(axis=1), fibers[d - 1 :: d])
+    return _loss(n, tail, math.factorial(d - 1), state.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +654,22 @@ def rhs_total(
     plan: ExecutionPlan | None = None,
 ) -> RhsResult:
     """Sum of gain and loss over every configured collision order, each
-    through rhs_gain_loss."""
+    through rhs_gain_loss, over the sizes 1..R of the state (R <= N)."""
     if not kernels.orders:
         raise KernelError("no collision orders configured")
-    if kernels.n_classes != state.n_classes:
+    if state.n_classes > kernels.n_classes:
         raise KernelError(
-            f"kernel set has N = {kernels.n_classes}, state has N = {state.n_classes}"
+            f"state has {state.n_classes} sizes, more than the kernel set's "
+            f"N = {kernels.n_classes}"
         )
     p = q = None
     for d in kernels.orders:
         p_d, q_d = rhs_gain_loss(kernels[d], state, plan)
         # every operator returns fresh vectors, so the first order's become
-        # the sums and later orders add into new arrays
-        p = p_d if p is None else p + p_d
-        q = q_d if q is None else q + q_d
+        # the sums and later orders add into them
+        if p is None:
+            p, q = p_d, q_d
+        else:
+            p += p_d
+            q += q_d
     return RhsResult(p=p, q=q)

@@ -117,6 +117,11 @@ def test_vector_initial_condition_round_trip():
     assert config.initial.kind == "vector"
     again = config_from_dict(config_to_dict(config))
     np.testing.assert_array_equal(again.initial.values, values)
+    assert again == config
+    # the manifest writes the values back as the same JSON numbers
+    written = config_to_dict(again)["initial"]["values"]
+    assert written == values and all(type(v) is float for v in written)
+    assert json.dumps(config_to_dict(again)) == json.dumps(config_to_dict(config))
 
 
 def test_load_config_and_manifest_unwrap(tmp_path):

@@ -1,5 +1,7 @@
 """Midpoint stepping, moment diagnostics, and simulation orchestration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,14 @@ def test_rk2_step_rejects_nonpositive_dt():
     kernels = KernelSet({2: constant_tt(1.0, 2, 8)})
     with pytest.raises(ValueError, match="dt"):
         rk2_step(ConcentrationState(np.ones(8)), 0.0, kernels)
+
+
+def test_rk2_step_rejects_a_state_of_another_length():
+    # the stages take shorter states; a step needs the kernels' N
+    kernels = KernelSet({2: constant_tt(1.0, 2, 8)})
+    for n_classes in (6, 9):
+        with pytest.raises(StepFailureError, match="state has N"):
+            rk2_step(InitialCondition.monodisperse().state(n_classes), 1e-3, kernels)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -197,6 +207,35 @@ def test_blow_up_inside_the_reach_is_a_step_failure():
     assert kernels.reach(kernels.reach(state.occupied_size)) == 4
     with pytest.raises(StepFailureError, match="non-finite"):
         rk2_step(state, 1e10, kernels)
+
+
+@pytest.mark.parametrize("case", ["symmetrized-cp", "mixed-2-3"])
+def test_warm_narrow_step_allocates_one_length_n_vector(case):
+    # both stages run over the reachable sizes; only the new state is
+    # padded to N
+    n_classes = 1 << 15
+    kernels = KernelSet(TRIMMED_CASES[case](n_classes))
+    n = np.zeros(n_classes)
+    n[:16] = np.linspace(1.0, 0.1, 16)
+    state = ConcentrationState(n)
+    assert kernels.reach(kernels.reach(state.occupied_size)) < n_classes // 64
+    rk2_step(state, 1e-2, kernels)  # builds the gain workspaces
+    tracemalloc.start()
+    try:
+        stepped = rk2_step(state, 1e-2, kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stepped.n.nbytes == n_classes * 8
+    assert peak < 2 * n_classes * 8
+
+
+def test_steps_from_an_empty_state_stay_empty():
+    kernels = KernelSet(TRIMMED_CASES["mixed-2-3"](64))
+    state = ConcentrationState(np.zeros(64), t=1.0)
+    stepped = rk2_step(state, 1e-2, kernels)
+    np.testing.assert_array_equal(stepped.n, np.zeros(64))
+    assert stepped.occupied_size == 0 and stepped.t == 1.01
 
 
 def test_states_built_from_a_head_equal_the_padded_states():
@@ -323,6 +362,38 @@ def test_integration_is_deterministic():
     _, first = integrate(config)
     _, second = integrate(config)
     assert first.rows() == second.rows()
+
+
+def test_moments_and_min_read_the_occupied_sizes():
+    n = np.zeros(12)
+    n[:5] = [0.5, 0.0, 1.5, -0.25, 2.0]
+    state = ConcentrationState(n, t=0.0)
+    sizes = np.arange(1, 6, dtype=np.float64)
+    assert moments(state, (0, 1, 2)) == [float((sizes**m) @ n[:5]) for m in (0, 1, 2)]
+    series = MomentSeries()
+    series.record(state)
+    series.record(ConcentrationState(np.abs(n), t=1.0))
+    series.record(ConcentrationState(np.linspace(1.0, 2.0, 12), t=2.0))
+    # with a zero above the occupied sizes the minimum is at most 0
+    assert series.min_n == [-0.25, 0.0, 1.0]
+    assert moments(ConcentrationState(np.zeros(4)), (0, 1)) == [0.0, 0.0]
+
+
+def test_vector_initial_condition_is_one_read_only_array():
+    values = [0.5, 0.25, 0.0]
+    ic = InitialCondition.from_vector(values)
+    assert isinstance(ic.values, np.ndarray) and ic.values.dtype == np.float64
+    assert not ic.values.flags.writeable
+    np.testing.assert_array_equal(ic.values, values)
+    same = InitialCondition.from_vector(np.array(values))
+    assert ic == same and hash(ic) == hash(same)
+    assert ic != InitialCondition.from_vector([0.5, 0.25, 0.125])
+    assert ic != InitialCondition.monodisperse(1.0)
+    assert InitialCondition.monodisperse(2.0) == InitialCondition.monodisperse(2.0)
+    # the state owns a copy; the initial condition stays as it was
+    state = ic.state(3)
+    np.testing.assert_array_equal(state.n, values)
+    assert state.n is not ic.values
 
 
 def test_initial_condition_validation():

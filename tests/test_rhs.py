@@ -227,6 +227,47 @@ def test_cp_paths_match_dense_oracle(order):
         assert rel_inf(rhs_cp_Q(kernel, state), rhs_dense_Q(dense, state)) < 1e-10
 
 
+def loss_by_mode_loop(kernel, n):
+    """The CP losses one mode at a time: the same terms as `rhs_cp_Q`,
+    which takes the moments and the tail in one matrix-vector product
+    each and so sums them in another order."""
+    d = kernel.dimension
+    moments = np.stack([n @ factor for factor in kernel.factors])
+    if isinstance(kernel, SymmetrizedCPKernel):
+        tail = np.zeros(n.size)
+        for m, factor in enumerate(kernel.factors):
+            others = np.ones(kernel.rank)
+            for other in range(d):
+                if other != m:
+                    others = others * moments[other]
+            tail += factor @ others
+        return -(n * tail)
+    scalars = np.ones(kernel.rank)
+    for mode in range(d - 1):
+        scalars = scalars * moments[mode]
+    return -(n * (kernel.factors[d - 1] @ scalars)) / math.factorial(d - 1)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", [CPKernel, SymmetrizedCPKernel])
+def test_cp_losses_match_the_dense_oracle_and_the_mode_loop(form, order, rank):
+    rng = np.random.default_rng(order * 10 + rank)
+    n_classes = _SYMMETRIZED_N[order]
+    kernel = form(tuple(rng.uniform(0.5, 1.5, (n_classes, rank)) for _ in range(order)))
+    dense = dense_from_cp(kernel)
+    for _ in range(3):
+        state = ConcentrationState(rng.random(n_classes))
+        q = rhs_cp_Q(kernel, state)
+        assert rel_inf(q, rhs_dense_Q(dense, state)) <= 1e-13
+        # the matrix-vector products sum in another order than the loop;
+        # every term is positive, so each of the d moments and the tail,
+        # sums of at most N and d*R terms, moves by that many ulps at most
+        ref = loss_by_mode_loop(kernel, state.n)
+        bound = order * (n_classes + order * rank) * np.finfo(float).eps
+        np.testing.assert_allclose(q, ref, rtol=bound, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # symmetrized CP fast paths
 # ---------------------------------------------------------------------------
@@ -392,6 +433,55 @@ def test_total_state_size_mismatch():
         rhs_total(kernels, monodisperse(9))
 
 
+# N per case keeps the dense kernels small
+_HEAD_N = 40
+_HEAD_CASES = {
+    "tt": lambda n: {3: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n)},
+    "cp": lambda n: {3: _symmetric_rank2_cp(n)},
+    "symmetrized-cp": lambda n: {
+        4: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n)
+    },
+    "dense": lambda n: {3: dense_from_spec(BrownianSpec((1 / 3, -1 / 3, 0.0)), n)},
+    "mixed-2-3": lambda n: {
+        2: dense_from_spec(BrownianSpec((0.25, -0.25)), n),
+        3: brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HEAD_CASES))
+def test_head_states_give_the_leading_entries_of_the_full_results(case):
+    # a state over sizes 1..R stands for the same state padded with zeros
+    # to N, and every operator returns the first R entries of its result
+    kernels = KernelSet(_HEAD_CASES[case](_HEAD_N))
+    rng = np.random.default_rng(131)
+    # the head shorter than the gain's reach, at it, past it, and all N
+    for reach, occupied in ((8, 5), (12, 3), (_HEAD_N - 1, 7), (30, 30), (_HEAD_N, 21)):
+        n = np.zeros(_HEAD_N)
+        n[:occupied] = rng.random(occupied)
+        full, head = ConcentrationState(n), ConcentrationState(n[:reach])
+        assert head.occupied_size == full.occupied_size == occupied
+        for kernel in kernels.kernels.values():
+            for got, ref in zip(rhs_gain_loss(kernel, head), rhs_gain_loss(kernel, full)):
+                assert got.shape == (reach,)
+                np.testing.assert_array_equal(got, ref[:reach])
+        got, ref = rhs_total(kernels, head), rhs_total(kernels, full)
+        np.testing.assert_array_equal(got.p, ref.p[:reach])
+        np.testing.assert_array_equal(got.q, ref.q[:reach])
+        np.testing.assert_array_equal(got.s, ref.s[:reach])
+
+
+@pytest.mark.parametrize("case", sorted(_HEAD_CASES))
+def test_states_longer_than_the_kernel_are_rejected(case):
+    kernels = KernelSet(_HEAD_CASES[case](_HEAD_N))
+    state = monodisperse(_HEAD_N + 1)
+    for kernel in kernels.kernels.values():
+        with pytest.raises(KernelError, match="more than the kernel's N"):
+            rhs_gain_loss(kernel, state)
+    with pytest.raises(KernelError, match="N"):
+        rhs_total(kernels, state)
+
+
 # ---------------------------------------------------------------------------
 # physical invariants
 # ---------------------------------------------------------------------------
@@ -480,8 +570,7 @@ def test_results_do_not_depend_on_worker_count():
     assert_same_bits_for_every_worker_count(kernels, rng.random(n_classes))
 
 
-def test_disabled_parallel_axes_and_loose_reduction_agree():
-    # the serial plan (one worker) against more FFT threads
+def test_four_workers_give_the_serial_tt_bits():
     rng = np.random.default_rng(74)
     n_classes = 64
     kernels = KernelSet(
@@ -490,7 +579,7 @@ def test_disabled_parallel_axes_and_loose_reduction_agree():
     state = ConcentrationState(rng.random(n_classes))
     ref = rhs_total(kernels, state, ExecutionPlan(workers=1)).s
     plan = ExecutionPlan(workers=4)
-    assert rel_inf(rhs_total(kernels, state, plan).s, ref) <= 1e-12
+    np.testing.assert_array_equal(rhs_total(kernels, state, plan).s, ref)
 
 
 class _Pow2Plan(ExecutionPlan):
