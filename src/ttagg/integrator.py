@@ -7,6 +7,7 @@ clamped, since clamping would corrupt the conservation diagnostics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,8 +58,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -67,7 +68,9 @@ class TimeGrid:
 class InitialCondition:
     """Monodisperse start (all mass at size 1) or an explicit vector.
 
-    A vector start keeps its values as one read-only float64 array.
+    Concentrations, `c0` or the vector's entries, must be finite and
+    nonnegative.  A vector start keeps its values as one read-only float64
+    array.
     """
 
     kind: str
@@ -77,14 +80,14 @@ class InitialCondition:
     def __post_init__(self):
         if self.kind not in ("monodisperse", "vector"):
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
+        _check_concentrations(np.array([self.c0], dtype=np.float64))
         if self.kind == "vector":
             if self.values is None:
                 raise ValueError("vector initial condition needs values")
             values = np.array(self.values, dtype=np.float64)
             if values.ndim != 1:
                 raise ValueError("initial values must be a vector")
-            if np.any(values < 0):
-                raise ValueError("initial concentrations must be nonnegative")
+            _check_concentrations(values)
             values.setflags(write=False)
             object.__setattr__(self, "values", values)
 
@@ -111,15 +114,24 @@ class InitialCondition:
 
     def state(self, n_classes: int, t0: float = 0.0) -> ConcentrationState:
         if self.kind == "monodisperse":
-            n = np.zeros(n_classes)
-            n[0] = self.c0
-        else:
-            if self.values.size != n_classes:
-                raise ValueError(
-                    f"initial vector has length {self.values.size}, expected {n_classes}"
-                )
-            n = self.values
-        return ConcentrationState(n, t0)
+            if n_classes < 2:
+                raise ValueError("concentration state must be a vector of length >= 2")
+            # size 1 holds c0, checked at construction; the rest are zeros
+            return ConcentrationState._from_head(
+                np.array([self.c0], dtype=np.float64), n_classes, t0, 1
+            )
+        if self.values.size != n_classes:
+            raise ValueError(
+                f"initial vector has length {self.values.size}, expected {n_classes}"
+            )
+        return ConcentrationState(self.values, t0)
+
+
+def _check_concentrations(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("initial concentrations must be finite")
+    if (values < 0).any():
+        raise ValueError("initial concentrations must be nonnegative")
 
 
 @dataclass
@@ -188,24 +200,42 @@ def rk2_step(
     d_max the largest order the two stages touch only sizes 1..reach,
     reach = min(N, d_max**2 * m).  Both stages run on states over those
     sizes, and only the new state is padded with exact zeros to length N;
-    the bits are those of the same step over all N sizes.
+    the bits are those of the same step over all N sizes.  Each new state
+    is nonzero only below the reach of the occupied sizes it was built
+    from, so its finiteness check and occupied-size scan stop there.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     try:
-        if state.n_classes != kernels.n_classes:
+        n_classes = state.n.size
+        if n_classes != kernels.n_classes:
             raise KernelError(
-                f"kernel set has N = {kernels.n_classes}, state has N = {state.n_classes}"
+                f"kernel set has N = {kernels.n_classes}, state has N = {n_classes}"
             )
-        reach = kernels.reach(kernels.reach(state.occupied_size))
+        occupied = state.occupied_size
+        reach = kernels.reach(kernels.reach(occupied))
         head = state._head(reach)
-        k1 = rhs_total(kernels, head, plan).s
+        # each stage sums k = p + q into the fresh p, and the next state is
+        # formed in place by the operations of n + (dt/2) k1 and n + dt k2,
+        # in that order; the new state is written at full length
+        res = rhs_total(kernels, head, plan)
+        k1 = np.add(res.p, res.q, out=res.p)
+        np.multiply(k1, 0.5 * dt, out=k1)
         mid = ConcentrationState._from_head(
-            head.n + (0.5 * dt) * k1, reach, state.t + 0.5 * dt
+            np.add(head.n, k1, out=k1), reach, state.t + 0.5 * dt,
+            kernels.reach(occupied),
         )
-        k2 = rhs_total(kernels, mid, plan).s
+        res = rhs_total(kernels, mid, plan)
+        k2 = np.add(res.p, res.q, out=res.p)
+        n = np.zeros(n_classes)
+        step = np.multiply(k2, dt, out=n[:reach])
+        np.add(head.n, step, out=step)
+        # n is zero above `occupied` and k2 above the reach of the
+        # midpoint's occupied size, which a degenerate stage can leave
+        # below `occupied`
         return ConcentrationState._from_head(
-            head.n + dt * k2, state.n_classes, state.t + dt
+            n, n_classes, state.t + dt,
+            kernels.reach(max(occupied, mid.occupied_size)),
         )
     except ValueError as exc:
         raise StepFailureError(f"time step failed: {exc}") from exc
@@ -246,10 +276,13 @@ def integrate(
                 series=series,
             ) from exc
         # sizes above the occupied ones are zeros, which change neither the
-        # test below nor, when it fires, the (negative) minimum
+        # test below nor, when it fires, the (negative) minimum; the test
+        # can only fire on a negative minimum
         occupied = state.n[: state.occupied_size]
         n_min = float(occupied.min(initial=0.0))
-        if n_min < -NEGATIVITY_RTOL * float(np.abs(occupied).max(initial=0.0)):
+        if n_min < 0.0 and n_min < -NEGATIVITY_RTOL * float(
+            np.abs(occupied).max(initial=0.0)
+        ):
             if not series.negativity_flagged:
                 warnings.warn(
                     f"min(n) = {n_min:.3e} at step {step}; reduce dt",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -182,6 +182,17 @@ class TTKernel:
     @property
     def max_rank(self) -> int:
         return max(self.ranks)
+
+    @cached_property
+    def fibers(self) -> np.ndarray:
+        """Every fiber core[rp, :, rn] as a row of one read-only
+        (sum of R_prev * R_next, N) array: core by core, rp-major within a
+        core.  Built on first use; the FFT gain weights these rows."""
+        fibers = np.concatenate(
+            [core.transpose(0, 2, 1).reshape(-1, self.n_classes) for core in self.cores]
+        )
+        fibers.setflags(write=False)
+        return fibers
 
 
 @dataclass(frozen=True)

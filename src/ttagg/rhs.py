@@ -5,9 +5,11 @@ all d-tuples of sizes summing to k; the loss vector drains size k in
 proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(m**d) and serve as ground truth; the tensor-train and CP paths push
-the gain through one shared FFT scaffold (`_fft_gain`: weighted fibers,
-size i stored at slot i-1, zero-padded to an alias-free length of at
-least d(m-1) + 1, in buffers the calling thread keeps between calls)
+the gain through one shared FFT scaffold (`_fft_gain`: the kernel's
+fiber rows, prepared once per kernel, weighted with size i stored at
+slot i-1 and zero-padded to an alias-free length of at least d(m-1) + 1,
+in one workspace per thread that grows to the longest length and the
+most rows it has served, so shorter lengths reuse its leading part)
 and the loss through mode contractions, for O(m log m) work per rank
 pair.  Here m is the state's occupied size, the largest k with
 n_k != 0: sizes above m contribute nothing, so every path reads sizes
@@ -30,8 +32,8 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 import numpy.fft as _fft
@@ -99,30 +101,33 @@ class ConcentrationState:
         object.__setattr__(self, "t", float(self.t))
 
     @classmethod
-    def _from_head(cls, head: np.ndarray, n_classes: int, t: float):
-        """The state (head, 0, ..., 0) of length `n_classes`, built by the
-        integrator from a fresh float64 head that it hands over.
+    def _from_head(cls, head: np.ndarray, n_classes: int, t: float, bound: int):
+        """The state (head, 0, ..., 0) of length `n_classes`, built from a
+        fresh float64 head that the caller hands over, and whose entries
+        at and above `bound` are exact zeros by construction: a stage of
+        `rk2_step` reaches no further than `KernelSet.reach` of the
+        occupied size it starts from.
 
         A full-length head becomes the state's array with no copy.  Every
-        size above the head is an exact zero by construction, so the
-        finiteness check and the occupied-size scan read the head only.
+        size at or above the bound is a zero, so the finiteness check and
+        the occupied-size scan read head[:bound] only.
         """
-        if not np.all(np.isfinite(head)):
+        inside = head[:bound]
+        if not np.isfinite(inside).all():
             raise ValueError("concentration state contains non-finite entries")
         n = head
         if head.size != n_classes:
             n = np.zeros(n_classes)
             n[: head.size] = head
         n.setflags(write=False)
-        return cls._trusted(n, t, _last_nonzero_size(head))
+        return cls._trusted(n, t, _last_nonzero_size(inside))
 
     @classmethod
     def _trusted(cls, n: np.ndarray, t: float, occupied: int):
-        # a state over a read-only float64 vector the caller vouches for
+        # a state over a read-only float64 vector the caller vouches for;
+        # a frozen dataclass keeps its fields in the instance dict
         state = cls.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "t", float(t))
-        state.__dict__["occupied_size"] = occupied
+        state.__dict__.update(n=n, t=float(t), occupied_size=occupied)
         return state
 
     def _head(self, reach: int):
@@ -185,9 +190,17 @@ def sample_symmetry_violation(kernel, samples: int = 32, seed: int = 0) -> float
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Kernels by collision order d (2 <= d), all sharing one mode size N."""
+    """Kernels by collision order d (2 <= d), all sharing one mode size N.
+
+    The sorted orders, N and the largest order are fixed at construction,
+    so an evaluation reads prepared fields.
+    """
 
     kernels: dict
+    orders: tuple = field(init=False, repr=False, compare=False)
+    _by_order: tuple = field(init=False, repr=False, compare=False)
+    _n_classes: int = field(init=False, repr=False, compare=False)
+    _d_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = {}
@@ -223,17 +236,18 @@ class KernelSet:
                     f"kernel for order {d} is not symmetric "
                     f"(sampled relative violation {violation:.2e})"
                 )
+        orders = tuple(sorted(checked))
         object.__setattr__(self, "kernels", checked)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.kernels))
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_by_order", tuple(checked[d] for d in orders))
+        object.__setattr__(self, "_n_classes", n_classes)
+        object.__setattr__(self, "_d_max", orders[-1] if orders else 0)
 
     @property
     def n_classes(self) -> int:
-        if not self.kernels:
+        if self._n_classes is None:
             raise KernelError("empty kernel set has no mode size")
-        return next(iter(self.kernels.values())).n_classes
+        return self._n_classes
 
     def __getitem__(self, order: int):
         return self.kernels[order]
@@ -242,7 +256,7 @@ class KernelSet:
         """Sizes 1..reach hold every nonzero entry of the right-hand side of
         a state with occupied size `occupied`: an order-d gain ends at
         min(N, d * occupied), and every loss at `occupied`."""
-        return min(self.n_classes, max(self.orders) * occupied)
+        return min(self.n_classes, self._d_max * occupied)
 
 
 @dataclass(frozen=True)
@@ -271,12 +285,12 @@ def _check_pair(kernel, state: ConcentrationState) -> int:
     return kernel.dimension
 
 
-def _loss(n: np.ndarray, tail: np.ndarray, weight: float, n_classes: int) -> np.ndarray:
-    # q_k = -n_k tail_k / weight over the occupied sizes of n, and exact
-    # zeros above them up to n_classes
-    q = np.zeros(n_classes)
+def _loss(n: np.ndarray, tail: np.ndarray, weight: float, q: np.ndarray) -> np.ndarray:
+    # q_k = -n_k tail_k / weight over the occupied sizes of n, written into
+    # the zeroed q, whose entries above them stay exact zeros; the tail
+    # may be q's own head
     head = q[: n.size]
-    np.multiply(n, tail, out=head)
+    np.multiply(tail, n, out=head)
     np.divide(head, -weight, out=head)
     return q
 
@@ -324,7 +338,7 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
     w = kernel.values[(slice(0, occupied),) * d]
     for _ in range(d - 1):
         w = np.tensordot(n, w, axes=(0, 0))
-    return _loss(n, w, math.factorial(d - 1), state.n_classes)
+    return _loss(n, w, math.factorial(d - 1), np.zeros(state.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +391,13 @@ def _pin_malloc_thresholds() -> None:
 
 
 class _Workspace:
-    """The buffers of the gains at one transform length L in one thread:
-    `real` rows of L weighted fibers and as many `spectra` rows of
-    L // 2 + 1 bins.  Every real row is zero at columns `dirty` and
-    above."""
+    """The buffers of the gains in one thread, for transform lengths up to
+    `length` and up to `rows` fibers: `real` rows of `length` columns of
+    weighted fibers and as many `spectra` rows of length // 2 + 1 bins.
+    A gain at a length L <= `length` on r <= `rows` fibers works in the
+    leading views real[:r, :L] and spectra[:r, :L // 2 + 1].  Every real
+    row is zero at columns `dirty` and above, whatever length the last
+    gain used."""
 
     def __init__(self, length: int, rows: int):
         self.length = length
@@ -393,35 +410,38 @@ _WORKSPACE = threading.local()
 
 
 def _workspace(length: int, rows: int) -> _Workspace:
-    # a thread keeps only its latest length: trimmed lengths grow with the
-    # occupied size, and a set of orders alternates between its lengths
+    # a thread keeps one workspace at the longest length and the most rows
+    # it has served: trimmed lengths grow with the occupied size, and a set
+    # of orders alternates between its lengths, so once warm neither builds
+    # a new one
     workspace = getattr(_WORKSPACE, "held", None)
-    if workspace is None or workspace.length != length or len(workspace.real) < rows:
+    if workspace is None or workspace.length < length or len(workspace.real) < rows:
+        if workspace is not None:
+            length = max(length, workspace.length)
+            rows = max(rows, len(workspace.real))
         _pin_malloc_thresholds()
         workspace = _WORKSPACE.held = _Workspace(length, rows)
     return workspace
 
 
-def _fft_gain(
-    fibers, fold, scale: float, state: ConcentrationState, order: int,
-    plan: ExecutionPlan,
-) -> np.ndarray:
+def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) -> np.ndarray:
     """Truncated order-d gain from FFT convolutions of weighted fibers.
 
-    Every entry of `fibers` is a vector over sizes 1..N, and the state
-    covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
+    `gain` is a kernel's `_gain_operands`: its fiber rows, an (r, N)
+    array, the fold of their spectra and the scale.  The state covers
+    sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
     (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.  Pipeline,
-    in the calling thread's workspace (`_workspace`): (1) weight each
-    fiber's first m entries by the concentrations into a real row, size i
-    at column i-1, zeros above; (2) transform all rows in one call;
-    (3) `fold(spectra)` combines the spectra in place and returns the row
-    that holds the combined spectrum; (4) inverse-transform it into real
-    row 0, whose tail is zeroed again afterwards; (5) index
-    sum k of d sizes sits at column k - d, so columns 0..top-d give
-    p_d..p_top, times `scale`, with top = min(R, d*m).  The largest index
-    sum fills column d(m-1), so the plan's length L >= d(m-1) + 1 keeps
-    every column alias-free.
+    above m has a zero product.  Pipeline, in the views real[:r, :L] and
+    spectra[:r, :L // 2 + 1] of the calling thread's workspace
+    (`_workspace`): (1) weight the first m columns of every fiber row by
+    the concentrations in one broadcast product, size i at column i-1,
+    zeros above; (2) transform all rows in one call; (3) `fold(spectra)`
+    combines the spectra in place and returns the row that holds the
+    combined spectrum; (4) inverse-transform it into real row 0, whose
+    tail is zeroed again afterwards; (5) index sum k of d sizes sits at
+    column k - d, so columns 0..top-d give p_d..p_top, times `scale`,
+    with top = min(R, d*m).  The largest index sum fills column d(m-1),
+    so the plan's length L >= d(m-1) + 1 keeps every column alias-free.
     Every other entry of p is an exact 0.0; so is all of p for an
     all-zero state, which skips the transforms.  p is the only array a
     warm call allocates.
@@ -429,6 +449,7 @@ def _fft_gain(
     Every step runs in the calling thread, so the output is bitwise the
     same for every worker count.
     """
+    fibers, fold, scale = gain
     n = state.n
     occupied = state.occupied_size
     top = min(n.size, order * occupied)
@@ -436,15 +457,14 @@ def _fft_gain(
     if top < order:
         return p
     length = plan.fft_length(order, occupied)
-    workspace = _workspace(length, len(fibers))
+    rows = len(fibers)
+    workspace = _workspace(length, rows)
     if workspace.dirty > occupied:
         workspace.real[:, occupied : workspace.dirty] = 0.0
     workspace.dirty = length  # until this call has cleared what it wrote
-    real = workspace.real[: len(fibers)]
-    spectra = workspace.spectra[: len(fibers)]
-    head = n[:occupied]
-    for fiber, row in zip(fibers, real):
-        np.multiply(fiber[:occupied], head, out=row[:occupied])
+    real = workspace.real[:rows, :length]
+    spectra = workspace.spectra[:rows, : length // 2 + 1]
+    np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
     # one call for all rows: each numpy FFT call pays a cost that grows
     # with L (3 rows at L = 393216: 21-22 ms in one call, 23-25 ms in three)
     _fft.rfft(real, axis=1, out=spectra)
@@ -484,26 +504,14 @@ def rhs_tt_P(
 ) -> np.ndarray:
     """Gain vector through the TT kernel, O(N d R^2 log N).
 
-    Each of the R_prev * R_next fibers core[rp, :, rn] of every core is
-    weighted by the concentrations and transformed; per frequency bin the
-    spectral matrices chain into a scalar, and one inverse transform
-    gives the index-sum convolution, scaled by 1/d!.  See `_fft_gain` for
-    the layout and the alias-free transform length.
+    Each of the R_prev * R_next fibers core[rp, :, rn] of every core
+    (`TTKernel.fibers`) is weighted by the concentrations and transformed;
+    per frequency bin the spectral matrices chain into a scalar, and one
+    inverse transform gives the index-sum convolution, scaled by 1/d!.
+    See `_fft_gain` for the layout and the alias-free transform length.
     """
     d = _check_pair(kernel, state)
-    return _fft_gain(
-        [
-            core[rp, :, rn]
-            for core in kernel.cores
-            for rp in range(core.shape[0])
-            for rn in range(core.shape[2])
-        ],
-        lambda spectra: _tt_fold(spectra, kernel.ranks),
-        1.0 / math.factorial(d),
-        state,
-        d,
-        plan or SERIAL_PLAN,
-    )
+    return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
 
 
 def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
@@ -534,7 +542,7 @@ def rhs_tt_Q(
     for lam in range(1, d - 1):
         w = w @ _contract_core(kernel.cores[lam][:, :occupied], n, plan)
     tail = w[0] @ kernel.cores[d - 1][:, :occupied, 0]
-    return _loss(n, tail, math.factorial(d - 1), state.n_classes)
+    return _loss(n, tail, math.factorial(d - 1), np.zeros(state.n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +553,32 @@ def _cp_fold(spectra, order: int):
     # per bin, multiply each rank's d mode spectra in mode order into the
     # rank's first row, and add the ranks in order into row 0
     acc = spectra[0]
-    for r, modes in enumerate(spectra.reshape(-1, order, spectra.shape[-1])):
-        for spec in modes[1:]:
-            np.multiply(modes[0], spec, out=modes[0])
-        if r:
-            np.add(acc, modes[0], out=acc)
+    for start in range(0, len(spectra), order):
+        first = spectra[start]
+        for spec in spectra[start + 1 : start + order]:
+            np.multiply(first, spec, out=first)
+        if start:
+            np.add(acc, first, out=acc)
     return acc
+
+
+def _gain_operands(kernel):
+    """(fibers, fold, scale) of the FFT gain of a TT, CP or symmetrized CP
+    kernel: its fiber rows as one (r, N) array, the in-place fold of
+    their spectra, and the factor on the folded convolution.  Built on
+    the kernel's first gain and kept on the kernel, which is immutable."""
+    operands = kernel.__dict__.get("_gain_operands")
+    if operands is None:
+        d = kernel.dimension
+        if isinstance(kernel, TTKernel):
+            fold = partial(_tt_fold, ranks=kernel.ranks)
+        else:
+            fold = partial(_cp_fold, order=d)
+        # a symmetrized kernel's d! slot orders each give the same
+        # convolution, which cancels the gain's 1/d!
+        scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
+        operands = kernel.__dict__["_gain_operands"] = (kernel.fibers, fold, scale)
+    return operands
 
 
 def rhs_cp_P(
@@ -569,25 +597,7 @@ def rhs_cp_P(
     cancels it, so its weight is 1.
     """
     d = _check_pair(kernel, state)
-    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
-    return _fft_gain(
-        kernel.fibers,
-        lambda spectra: _cp_fold(spectra, d),
-        scale,
-        state,
-        d,
-        plan or SERIAL_PLAN,
-    )
-
-
-def _factor_moments(fibers: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # S[c] = sum_i fibers[c, i] * n_i for every fiber row c, in one BLAS
-    # matrix-vector product; numpy's own matmul loop, which `@` takes for
-    # an (m, 1) factor, took 0.94 ms against 0.095 ms at m = 2^17 (2-core
-    # Xeon)
-    return map_blocked(
-        n.size, plan.workers, lambda lo, hi: np.dot(fibers[:, lo:hi], n[lo:hi])
-    )
+    return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
 
 
 @lru_cache(maxsize=None)
@@ -614,19 +624,29 @@ def rhs_cp_Q(
     the 1/(d-1)!, and no symmetry is assumed.  Moments and tail run over
     the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
     """
-    plan = plan or SERIAL_PLAN
     d = _check_pair(kernel, state)
     occupied = state.occupied_size
     n = state.n[:occupied]
     fibers = kernel.fibers[:, :occupied]
-    moments = _factor_moments(fibers, n, plan).reshape(kernel.rank, d)
+    # S[c] = sum_i fibers[c, i] * n_i for every fiber row c, in one BLAS
+    # matrix-vector product; numpy's own matmul loop, which `@` takes for
+    # an (m, 1) factor, took 0.94 ms against 0.095 ms at m = 2^17 (2-core
+    # Xeon)
+    moments = map_blocked(
+        occupied,
+        (plan or SERIAL_PLAN).workers,
+        lambda lo, hi: np.dot(fibers[:, lo:hi], n[lo:hi]),
+    ).reshape(-1, d)
+    # the tail is formed in the head of q, then scaled there by `_loss`
+    q = np.zeros(state.n.size)
+    tail = q[:occupied]
     if isinstance(kernel, SymmetrizedCPKernel):
         # others[r, m] = prod_{m' != m} S[m', r], the modes in order
         others = np.where(_off_diagonal(d), moments[:, None, :], 1.0).prod(axis=2)
-        tail = np.dot(others.ravel(), fibers)
-        return _loss(n, tail, 1.0, state.n_classes)
-    tail = np.dot(moments[:, : d - 1].prod(axis=1), fibers[d - 1 :: d])
-    return _loss(n, tail, math.factorial(d - 1), state.n_classes)
+        np.dot(others.ravel(), fibers, out=tail)
+        return _loss(n, tail, 1.0, q)
+    np.dot(moments[:, : d - 1].prod(axis=1), fibers[d - 1 :: d], out=tail)
+    return _loss(n, tail, math.factorial(d - 1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +659,11 @@ def rhs_gain_loss(
     """Gain and loss of one kernel through the fastest path its
     representation allows: TT, CP and symmetrized CP kernels use the
     FFT-accelerated operators, dense kernels the direct sums."""
+    # the run-time form of analytic kernels first
+    if isinstance(kernel, (SymmetrizedCPKernel, CPKernel)):
+        return rhs_cp_P(kernel, state, plan), rhs_cp_Q(kernel, state, plan)
     if isinstance(kernel, TTKernel):
         return rhs_tt_P(kernel, state, plan), rhs_tt_Q(kernel, state, plan)
-    if isinstance(kernel, (CPKernel, SymmetrizedCPKernel)):
-        return rhs_cp_P(kernel, state, plan), rhs_cp_Q(kernel, state, plan)
     if isinstance(kernel, DenseKernel):
         return rhs_dense_P(kernel, state), rhs_dense_Q(kernel, state)
     raise KernelError(f"unsupported kernel representation {type(kernel).__name__}")
@@ -657,19 +678,17 @@ def rhs_total(
     through rhs_gain_loss, over the sizes 1..R of the state (R <= N)."""
     if not kernels.orders:
         raise KernelError("no collision orders configured")
-    if state.n_classes > kernels.n_classes:
+    if state.n.size > kernels._n_classes:
         raise KernelError(
             f"state has {state.n_classes} sizes, more than the kernel set's "
             f"N = {kernels.n_classes}"
         )
-    p = q = None
-    for d in kernels.orders:
-        p_d, q_d = rhs_gain_loss(kernels[d], state, plan)
-        # every operator returns fresh vectors, so the first order's become
-        # the sums and later orders add into them
-        if p is None:
-            p, q = p_d, q_d
-        else:
-            p += p_d
-            q += q_d
-    return RhsResult(p=p, q=q)
+    first, *rest = kernels._by_order
+    # every operator returns fresh vectors, so the lowest order's become
+    # the sums and higher orders add into them
+    p, q = rhs_gain_loss(first, state, plan)
+    for kernel in rest:
+        p_d, q_d = rhs_gain_loss(kernel, state, plan)
+        p += p_d
+        q += q_d
+    return RhsResult(p, q)

@@ -172,11 +172,15 @@ def test_simulate_malformed_config_shape_is_validation_error(
             {"kernels": {"2": {"type": "constant", "D": 2, "c": 10**400}}},
             "'c' must be finite, got 1000",
         ),
+        (
+            {"initial": {"kind": "monodisperse", "c0": -1.0}},
+            "initial concentrations must be nonnegative",
+        ),
     ],
     ids=[
         "N-list", "N-fraction", "D-bool", "record-every-object", "workers-string",
         "steps-fraction", "dt-list", "c-list", "kernel-D-fraction", "mu-entry-list",
-        "c-infinity", "mu-nan", "t0-infinity", "c-too-large",
+        "c-infinity", "mu-nan", "t0-infinity", "c-too-large", "c0-negative",
     ],
 )
 def test_simulate_bad_scalar_field_is_validation_error(

@@ -25,7 +25,7 @@ from ttagg.kernels import (
     constant_tt,
     dense_from_spec,
 )
-from ttagg.rhs import ConcentrationState, KernelSet, rhs_total
+from ttagg.rhs import ConcentrationState, KernelSet, _last_nonzero_size, rhs_total
 
 
 def ternary_constant_config(n_classes=256, dt=1e-3, steps=1000, record_every=100):
@@ -89,8 +89,12 @@ def test_rk2_step_calls_rhs_exactly_twice(monkeypatch):
 
 def test_rk2_step_rejects_nonpositive_dt():
     kernels = KernelSet({2: constant_tt(1.0, 2, 8)})
-    with pytest.raises(ValueError, match="dt"):
-        rk2_step(ConcentrationState(np.ones(8)), 0.0, kernels)
+    # an infinite dt would make 0 * dt a NaN above a stage's reach
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            rk2_step(ConcentrationState(np.ones(8)), dt, kernels)
+        with pytest.raises(ValueError, match="dt"):
+            TimeGrid(0.0, dt, 1)
 
 
 def test_rk2_step_rejects_a_state_of_another_length():
@@ -238,18 +242,58 @@ def test_steps_from_an_empty_state_stay_empty():
     assert stepped.occupied_size == 0 and stepped.t == 1.01
 
 
+@pytest.mark.parametrize("start", ["monodisperse", "decaying-head"])
+@pytest.mark.parametrize("case", sorted(TRIMMED_CASES))
+def test_stage_states_find_their_occupied_size_below_the_bound(case, start, monkeypatch):
+    # a stage's state is scanned only below the reach of the occupied
+    # sizes it was built from; the full scan must agree, from narrow steps
+    # to steps at full reach
+    n_classes = 200
+    kernels = KernelSet(TRIMMED_CASES[case](n_classes))
+    stage_states = []
+
+    def recording(kernels, state, plan=None):
+        stage_states.append(state)
+        return rhs_total(kernels, state, plan)
+
+    monkeypatch.setattr(integrator_mod, "rhs_total", recording)
+    if start == "monodisperse":
+        state = InitialCondition.monodisperse(1.0).state(n_classes)
+    else:
+        n = np.zeros(n_classes)
+        n[:7] = np.random.default_rng(37).uniform(0.01, 0.1, 7)
+        state = ConcentrationState(n)
+    built = []
+    for _ in range(5):
+        state = rk2_step(state, 1e-2, kernels)
+        built += [stage_states[-1], state]  # the midpoint state, the new state
+    assert built[-1].occupied_size == n_classes
+    for stage in built:
+        assert stage.occupied_size == _last_nonzero_size(stage.n)
+
+
+def test_a_state_from_a_head_is_checked_below_its_bound():
+    head = np.zeros(8)
+    head[:3] = [1.0, 0.5, 0.25]
+    state = ConcentrationState._from_head(head.copy(), 8, 0.0, 5)
+    assert state.occupied_size == 3
+    head[4] = np.nan  # inside the bound
+    with pytest.raises(ValueError, match="non-finite"):
+        ConcentrationState._from_head(head, 8, 0.0, 5)
+
+
 def test_states_built_from_a_head_equal_the_padded_states():
     n = np.zeros(16)
     n[:3] = [1.0, 0.0, 2.0]
     state = ConcentrationState(n, t=0.5)
-    owned = ConcentrationState._from_head(np.array([1.0, 0.0, 2.0, 0.0]), 16, 0.5)
+    owned = ConcentrationState._from_head(np.array([1.0, 0.0, 2.0, 0.0]), 16, 0.5, 4)
     np.testing.assert_array_equal(owned.n, state.n)
     assert owned.occupied_size == state.occupied_size == 3
     assert owned.t == 0.5 and not owned.n.flags.writeable
     full = np.arange(1.0, 17.0)
-    assert ConcentrationState._from_head(full, 16, 0.0).n is full
+    assert ConcentrationState._from_head(full, 16, 0.0, 16).n is full
     with pytest.raises(ValueError, match="non-finite"):
-        ConcentrationState._from_head(np.array([1.0, np.nan]), 16, 0.0)
+        ConcentrationState._from_head(np.array([1.0, np.nan]), 16, 0.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +443,17 @@ def test_vector_initial_condition_is_one_read_only_array():
 def test_initial_condition_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         InitialCondition.from_vector([1.0, -0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        InitialCondition.monodisperse(-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            InitialCondition.monodisperse(bad)
+        with pytest.raises(ValueError, match="finite"):
+            InitialCondition.from_vector([1.0, bad])
+    empty = InitialCondition.monodisperse(0.0).state(4)
+    assert empty.occupied_size == 0 and not empty.n.any()
+    with pytest.raises(ValueError, match="length"):
+        InitialCondition.monodisperse(1.0).state(1)
     with pytest.raises(ValueError, match="kind"):
         InitialCondition(kind="bimodal")
     ic = InitialCondition.from_vector([0.5, 0.5, 0.0])
@@ -407,3 +462,4 @@ def test_initial_condition_validation():
     state = InitialCondition.monodisperse(2.0).state(4, t0=1.0)
     np.testing.assert_array_equal(state.n, [2.0, 0.0, 0.0, 0.0])
     assert state.t == 1.0
+    assert state.occupied_size == 1 and not state.n.flags.writeable

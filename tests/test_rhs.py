@@ -9,8 +9,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+import ttagg.rhs as rhs_mod
+from ttagg.config import SimulationConfig, build_kernel_set
+from ttagg.integrator import InitialCondition, TimeGrid, integrate
 from ttagg.kernels import (
     BrownianSpec,
+    ConstantSpec,
     CPKernel,
     DenseKernel,
     KernelError,
@@ -81,8 +85,6 @@ def monodisperse(n_classes):
 
 
 def dense_constant(order, n_classes):
-    from ttagg.kernels import ConstantSpec
-
     return dense_from_spec(ConstantSpec(1.0, order), n_classes)
 
 
@@ -588,7 +590,7 @@ class _Pow2Plan(ExecutionPlan):
         return 1 << (order * (n_classes - 1)).bit_length()
 
 
-def test_fft_length_policies_agree():
+def test_any_alias_free_length_gives_the_gain():
     # any alias-free transform length gives the gain up to roundoff
     rng = np.random.default_rng(73)
     state = ConcentrationState(rng.random(48))
@@ -713,6 +715,16 @@ def test_warm_full_support_gain_allocates_only_its_result(make_kernel):
     assert peak <= 2 * n_classes * 8
 
 
+def _in_a_fresh_thread(fn):
+    # a new thread starts with no workspace
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
 def test_reused_workspace_gives_the_bits_of_a_fresh_one():
     # the thread's buffers are reused at one transform length: a state
     # with fewer occupied sizes, evaluated after a larger one and after
@@ -730,19 +742,99 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
         n = rng.random(n_classes)
         n[occupied:] = 0.0
         states[occupied] = ConcentrationState(n)
-    fresh = {}
-    for occupied, state in states.items():
-        # a new thread starts with no workspace
-        thread = threading.Thread(
-            target=lambda m=occupied, s=state: fresh.update({m: rhs_cp_P(kernel, s)})
-        )
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert sorted(fresh) == [small, large]
+    fresh = {
+        m: _in_a_fresh_thread(lambda s=state: rhs_cp_P(kernel, s))
+        for m, state in states.items()
+    }
     for order in ((large, small, large), (small, large, small)):
         for occupied in order:
             np.testing.assert_array_equal(rhs_cp_P(kernel, states[occupied]), fresh[occupied])
+
+
+@pytest.mark.parametrize(
+    "make_kernel",
+    [
+        lambda n: build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), n),
+        _symmetric_rank2_cp,
+        lambda n: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n),
+    ],
+    ids=["tt-d3", "cp-rank2-d3", "symmetrized-cp-d4"],
+)
+def test_gains_at_shrinking_lengths_keep_the_bits_of_a_fresh_workspace(make_kernel):
+    # one workspace per thread at its high-water mark: m = 4 runs in the
+    # leading views of the workspace that m = 1024 built, and m = 1024 then
+    # needs the zeros above its sizes back, whatever the shorter gain wrote
+    n_classes = 2048
+    kernel = make_kernel(n_classes)
+    gain = rhs_tt_P if isinstance(kernel, TTKernel) else rhs_cp_P
+    rng = np.random.default_rng(31)
+    states = {}
+    for occupied in (1024, 4):
+        n = rng.random(n_classes)
+        n[occupied:] = 0.0
+        states[occupied] = ConcentrationState(n)
+    plan = ExecutionPlan()
+    assert plan.fft_length(kernel.dimension, 4) < plan.fft_length(kernel.dimension, 1024)
+    fresh = {
+        m: _in_a_fresh_thread(lambda m=m: gain(kernel, states[m])) for m in states
+    }
+    sequence = (1024, 4, 1024)
+    reused = _in_a_fresh_thread(lambda: [gain(kernel, states[m]) for m in sequence])
+    for occupied, got in zip(sequence, reused):
+        np.testing.assert_array_equal(got, fresh[occupied])
+
+
+_GROWING_CASES = {
+    # D = 4: one order, 4 fiber rows, lengths 1 ... 4096 in 3 steps
+    "brownian-4": (4, {4: BrownianSpec((0.5, -0.5, 0.25, 0.0))}),
+    # {2, 3}: each right-hand side runs the order-2 gain (2 rows) at a
+    # shorter length than the order-3 gain (3 rows)
+    "mixed-2-3": (3, {2: BrownianSpec((0.25, -0.25)), 3: ConstantSpec(0.5, 3)}),
+}
+
+_COLD_BUILDS = {
+    "brownian-4": [(1, 4), (15, 4), (64, 4), (256, 4), (1024, 4), (4096, 4)],
+    # the order-3 gain outgrows the order-2 one at every stage, and the
+    # next stage's order-2 gain outgrows that; the rows stay at 3
+    "mixed-2-3": [(1, 2), (1, 3)]
+    + [(length, 3) for length in (5, 8, 18, 25, 54, 80, 162, 243, 486, 729)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GROWING_CASES))
+def test_warm_growing_state_builds_no_workspace(monkeypatch, case):
+    # a monodisperse start grows through ever longer transform lengths in
+    # 3 steps; the thread's workspace grows with it, and a warm integrate
+    # reuses it at every length and for every order
+    built = []
+
+    class CountedWorkspace(rhs_mod._Workspace):
+        def __init__(self, length, rows):
+            super().__init__(length, rows)
+            built.append((length, rows))
+
+    monkeypatch.setattr(rhs_mod, "_Workspace", CountedWorkspace)
+    dimension, specs = _GROWING_CASES[case]
+    config = SimulationConfig(
+        n_classes=1 << 12,
+        dimension=dimension,
+        kernel_specs=specs,
+        initial=InitialCondition.monodisperse(1.0),
+        time=TimeGrid(0.0, 1e-2, 3),
+        record_every=3,
+    )
+    kernels = build_kernel_set(config)
+
+    def cold_then_warm():
+        cold, _ = integrate(config, kernels=kernels)
+        cold_builds = list(built)
+        warm, _ = integrate(config, kernels=kernels)
+        return cold, warm, cold_builds
+
+    cold, warm, cold_builds = _in_a_fresh_thread(cold_then_warm)
+    assert cold_builds == _COLD_BUILDS[case]
+    assert built == cold_builds  # the warm run built none
+    np.testing.assert_array_equal(warm.n, cold.n)
 
 
 def test_concurrent_gains_reproduce_the_serial_bits():
