@@ -2,8 +2,8 @@
 
 An `ExecutionPlan` carries a worker count, and no right-hand side reads
 it: a gain transforms its fibers with `numpy.fft`, which has no thread
-option, in the calling thread's workspace, and the loss contractions
-run in the calling thread too.  Every worker count therefore gives the
+option, in buffers it allocates per call, and the loss contractions run
+in the calling thread too.  Every worker count therefore gives the
 same bits and, up to noise, the same time as one worker: the acceptance
 suite's scaling problem (D = 3, N = 2^17, timed by
 `run_scaling_benchmark` below) ran 0.90-1.12x at 4 workers against 1

@@ -8,13 +8,11 @@ O(m**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: the kernel's
 fiber rows, prepared once per kernel, weighted with size i stored at
 slot i-1 and zero-padded to an alias-free length of at least d(m-1) + 1,
-in one workspace per thread that grows to the longest length and the
-most rows it has served, so shorter lengths reuse its leading part)
-and the loss through mode contractions, for O(m log m) work per rank
-pair.  Here m is the state's occupied size, the largest k with
-n_k != 0: sizes above m contribute nothing, so every path reads sizes
-1..m only and returns exact zeros where the sums are empty (gain above
-min(R, d*m), loss above m).
+in buffers allocated per call) and the loss through mode contractions,
+for O(m log m) work per rank pair.  Here m is the state's occupied
+size, the largest k with n_k != 0: sizes above m contribute nothing, so
+every path reads sizes 1..m only and returns exact zeros where the sums
+are empty (gain above min(R, d*m), loss above m).
 
 Every operator takes a state over sizes 1..R for any R <= the kernel's
 N, treats the sizes above R as empty, and returns vectors over 1..R:
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 
@@ -199,10 +196,12 @@ class KernelSet:
     kernels: dict
     orders: tuple = field(init=False, repr=False, compare=False)
     _by_order: tuple = field(init=False, repr=False, compare=False)
-    _n_classes: int = field(init=False, repr=False, compare=False)
+    n_classes: int = field(init=False, repr=False, compare=False)
     _d_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.kernels:
+            raise KernelError("no collision orders configured")
         checked = {}
         n_classes = None
         for order, kernel in self.kernels.items():
@@ -240,14 +239,8 @@ class KernelSet:
         object.__setattr__(self, "kernels", checked)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "_by_order", tuple(checked[d] for d in orders))
-        object.__setattr__(self, "_n_classes", n_classes)
-        object.__setattr__(self, "_d_max", orders[-1] if orders else 0)
-
-    @property
-    def n_classes(self) -> int:
-        if self._n_classes is None:
-            raise KernelError("empty kernel set has no mode size")
-        return self._n_classes
+        object.__setattr__(self, "n_classes", n_classes)
+        object.__setattr__(self, "_d_max", orders[-1])
 
     def __getitem__(self, order: int):
         return self.kernels[order]
@@ -295,14 +288,6 @@ def _loss(n: np.ndarray, tail: np.ndarray, weight: float, q: np.ndarray) -> np.n
     return q
 
 
-@lru_cache(maxsize=8)
-def _index_sum_grid(order: int, n_classes: int) -> np.ndarray:
-    sizes = np.arange(1, n_classes + 1, dtype=np.int64)
-    grid = reduce(np.add.outer, [sizes] * order)
-    grid.setflags(write=False)
-    return grid
-
-
 def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
     """Gain vector by direct summation over all d-tuples of occupied
     sizes (O(m**d))."""
@@ -316,9 +301,10 @@ def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
         shape = [1] * d
         shape[axis] = occupied
         weighted *= n.reshape(shape)
-    # the tuples of the kernel's grid in the same order, so every total
-    # adds the same terms in the same order as over all N sizes
-    sums = _index_sum_grid(d, kernel.n_classes)[head]
+    # the index sums of the occupied sizes, built per call: a grid kept
+    # over all N sizes would hold N**d integers for the life of the process
+    sizes = np.arange(1, occupied + 1, dtype=np.int64)
+    sums = reduce(np.add.outer, [sizes] * d)
     totals = np.bincount(
         sums.ravel(), weights=weighted.ravel(), minlength=d * occupied + 1
     )
@@ -346,11 +332,10 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Whole-range seams: each runs fn(0, total) once, in the calling thread.
-# The loss contractions call `map_blocked`; nothing calls `run_blocked`
-# since the gain weights its fibers in its workspace.  Both exist only
-# because the benchmark's tracer wraps these two names in this module and
-# reads their (total, workers, fn) arguments; the benchmark change of
-# ROADMAP direction 1 deletes them.
+# The loss contractions call `map_blocked`; nothing calls `run_blocked`.
+# Both exist only because the benchmark's tracer wraps these two names in
+# this module and reads their (total, workers, fn) arguments; the
+# benchmark change of ROADMAP direction 1 deletes them.
 def run_blocked(total: int, workers: int, fn) -> None:
     fn(0, total)
 
@@ -372,12 +357,14 @@ def _pin_malloc_thresholds() -> None:
     mapping and unmaps it on free, and trims the heap top above twice that
     threshold; both adapt to the largest block freed so far, so they stay
     near the size of pocketfft's per-row scratch (3 MB at full support).
-    That scratch and the step's 1 MB vectors then went back to the kernel
-    after every call and were faulted back in on the next.  On the
-    D = 3, N = 2^17 full-support problem (`resource.getrusage`, 2-core
-    Xeon, glibc 2.36) a warm 2-step solution took 14,189 minor faults with
-    fresh buffers per gain, 12,160 with the gain workspace alone, and 0
-    with these fixed thresholds of 32 MiB (mmap) and 256 MiB (trim).
+    A gain's per-call buffers, that scratch and the step's 1 MB vectors
+    then went back to the kernel after every call and were faulted back
+    in on the next.  On the D = 3, N = 2^17 full-support problem
+    (`resource.getrusage`, 2-core Xeon, glibc 2.36) a warm 2-step
+    solution took 14,189 minor faults with fresh buffers per gain and
+    default thresholds, and 0 with fresh buffers and these fixed
+    thresholds of 32 MiB (mmap) and 256 MiB (trim): freed blocks are
+    reused from the heap, so no gain needs buffers kept between calls.
     Other C libraries have no `mallopt`, and there this does nothing.
     """
     try:
@@ -390,40 +377,6 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-class _Workspace:
-    """The buffers of the gains in one thread, for transform lengths up to
-    `length` and up to `rows` fibers: `real` rows of `length` columns of
-    weighted fibers and as many `spectra` rows of length // 2 + 1 bins.
-    A gain at a length L <= `length` on r <= `rows` fibers works in the
-    leading views real[:r, :L] and spectra[:r, :L // 2 + 1].  Every real
-    row is zero at columns `dirty` and above, whatever length the last
-    gain used."""
-
-    def __init__(self, length: int, rows: int):
-        self.length = length
-        self.real = np.zeros((rows, length))
-        self.spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
-        self.dirty = 0
-
-
-_WORKSPACE = threading.local()
-
-
-def _workspace(length: int, rows: int) -> _Workspace:
-    # a thread keeps one workspace at the longest length and the most rows
-    # it has served: trimmed lengths grow with the occupied size, and a set
-    # of orders alternates between its lengths, so once warm neither builds
-    # a new one
-    workspace = getattr(_WORKSPACE, "held", None)
-    if workspace is None or workspace.length < length or len(workspace.real) < rows:
-        if workspace is not None:
-            length = max(length, workspace.length)
-            rows = max(rows, len(workspace.real))
-        _pin_malloc_thresholds()
-        workspace = _WORKSPACE.held = _Workspace(length, rows)
-    return workspace
-
-
 def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) -> np.ndarray:
     """Truncated order-d gain from FFT convolutions of weighted fibers.
 
@@ -431,20 +384,20 @@ def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) 
     array, the fold of their spectra and the scale.  The state covers
     sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
     (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.  Pipeline, in the views real[:r, :L] and
-    spectra[:r, :L // 2 + 1] of the calling thread's workspace
-    (`_workspace`): (1) weight the first m columns of every fiber row by
-    the concentrations in one broadcast product, size i at column i-1,
-    zeros above; (2) transform all rows in one call; (3) `fold(spectra)`
-    combines the spectra in place and returns the row that holds the
-    combined spectrum; (4) inverse-transform it into real row 0, whose
-    tail is zeroed again afterwards; (5) index sum k of d sizes sits at
-    column k - d, so columns 0..top-d give p_d..p_top, times `scale`,
-    with top = min(R, d*m).  The largest index sum fills column d(m-1),
-    so the plan's length L >= d(m-1) + 1 keeps every column alias-free.
-    Every other entry of p is an exact 0.0; so is all of p for an
-    all-zero state, which skips the transforms.  p is the only array a
-    warm call allocates.
+    above m has a zero product.  Pipeline, in an (r, L) array `real` and
+    an (r, L // 2 + 1) array `spectra` that each call allocates: (1)
+    weight the first m columns of every fiber row by the concentrations
+    in one broadcast product, size i at column i-1, zeros above; (2)
+    transform all rows in one call; (3) `fold(spectra)` combines the
+    spectra in place and returns the row that holds the combined
+    spectrum; (4) inverse-transform it into real row 0; (5) index sum k
+    of d sizes sits at column k - d, so columns 0..top-d give
+    p_d..p_top, times `scale`, with top = min(R, d*m).  The largest
+    index sum fills column d(m-1), so the plan's length L >= d(m-1) + 1
+    keeps every column alias-free.  Every other entry of p is an exact
+    0.0; so is all of p for an all-zero state, which skips the
+    transforms.  The buffers are fresh per call; `_pin_malloc_thresholds`
+    keeps their pages in the process between calls.
 
     Every step runs in the calling thread, so the output is bitwise the
     same for every worker count.
@@ -457,22 +410,14 @@ def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) 
     if top < order:
         return p
     length = plan.fft_length(order, occupied)
-    rows = len(fibers)
-    workspace = _workspace(length, rows)
-    if workspace.dirty > occupied:
-        workspace.real[:, occupied : workspace.dirty] = 0.0
-    workspace.dirty = length  # until this call has cleared what it wrote
-    real = workspace.real[:rows, :length]
-    spectra = workspace.spectra[:rows, : length // 2 + 1]
+    _pin_malloc_thresholds()
+    real = np.zeros((len(fibers), length))
+    spectra = np.empty((len(fibers), length // 2 + 1), dtype=np.complex128)
     np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
-    # one call for all rows: each numpy FFT call pays a cost that grows
-    # with L (3 rows at L = 393216: 21-22 ms in one call, 23-25 ms in three)
     _fft.rfft(real, axis=1, out=spectra)
     coeffs = real[0]
     _fft.irfft(fold(spectra), n=length, out=coeffs)
     np.multiply(coeffs[: top - order + 1], scale, out=p[order - 1 : top])
-    coeffs[occupied:] = 0.0
-    workspace.dirty = occupied
     return p
 
 
@@ -676,9 +621,7 @@ def rhs_total(
 ) -> RhsResult:
     """Sum of gain and loss over every configured collision order, each
     through rhs_gain_loss, over the sizes 1..R of the state (R <= N)."""
-    if not kernels.orders:
-        raise KernelError("no collision orders configured")
-    if state.n.size > kernels._n_classes:
+    if state.n.size > kernels.n_classes:
         raise KernelError(
             f"state has {state.n_classes} sizes, more than the kernel set's "
             f"N = {kernels.n_classes}"

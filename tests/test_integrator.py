@@ -223,7 +223,7 @@ def test_warm_narrow_step_allocates_one_length_n_vector(case):
     n[:16] = np.linspace(1.0, 0.1, 16)
     state = ConcentrationState(n)
     assert kernels.reach(kernels.reach(state.occupied_size)) < n_classes // 64
-    rk2_step(state, 1e-2, kernels)  # builds the gain workspaces
+    rk2_step(state, 1e-2, kernels)  # warms up both stages
     tracemalloc.start()
     try:
         stepped = rk2_step(state, 1e-2, kernels)
