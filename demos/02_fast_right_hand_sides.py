@@ -3,8 +3,8 @@
 The gain operator collects all d-tuples of sizes summing to each output
 class; evaluated directly that is O(N**d) work per call.  Through the
 tensor-train form it becomes a handful of padded FFTs and a short
-spectral matrix chain, and the loss operator a few mode contractions.
-The rank-1 symmetrized CP form that simulations run on needs only d
+spectral matrix chain, and the loss operator two matrix-vector products
+with the same fiber rows.  The rank-1 symmetrized CP form that simulations run on needs only d
 transforms and no chain, and its loss is a closed form in d moments.
 This script shows the paths agree to near machine precision and how
 their costs separate as the grid grows.

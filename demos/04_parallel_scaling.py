@@ -1,8 +1,8 @@
 """Worker counts and the accelerated right-hand side.
 
 No right-hand side reads the worker count: the fiber weighting, the
-transforms, the per-frequency chain and the loss contractions all run
-in the calling thread.  Every worker count therefore gives the 1-worker
+transforms, the per-frequency chain and the loss's matrix-vector
+products all run in the calling thread.  Every worker count therefore gives the 1-worker
 bits, and the times below differ only by noise.  Wall
 times below follow the protocol of the bench subcommand: a discarded
 warm-up, then the median of three timed integrations per worker count.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -144,12 +144,20 @@ class TTKernel:
 
     An element is the product of the matrix slices taken at the size
     indices; boundary ranks are 1 so the chain collapses to a scalar.
+
+    The cores are stored once, as the rows of `fibers`, a read-only
+    (sum of R_prev * R_next, N) array: core by core, rp-major within a
+    core, row (rp, rn) of a core is its fiber core[rp, :, rn].  Each entry
+    of `cores` is a read-only view of it, so a gain weights contiguous
+    rows, and a loss takes its moments and its tail in one matrix-vector
+    product each.
     """
 
     cores: tuple[np.ndarray, ...]
+    fibers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cores = tuple(_readonly(c) for c in self.cores)
+        cores = tuple(np.asarray(c, dtype=np.float64) for c in self.cores)
         if len(cores) < 2:
             raise KernelError("a TT kernel needs at least two cores")
         for lam, core in enumerate(cores, start=1):
@@ -165,7 +173,20 @@ class TTKernel:
                 raise KernelError(
                     f"rank mismatch between cores {lam} and {lam + 1}"
                 )
-        object.__setattr__(self, "cores", cores)
+        rows = sum(c.shape[0] * c.shape[2] for c in cores)
+        fibers = np.empty((rows, n_classes))
+        views, start = [], 0
+        for core in cores:
+            r_prev, _, r_next = core.shape
+            block = fibers[start : start + r_prev * r_next]
+            view = block.reshape(r_prev, r_next, n_classes).transpose(0, 2, 1)
+            view[...] = core
+            view.setflags(write=False)
+            views.append(view)
+            start += r_prev * r_next
+        fibers.setflags(write=False)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "cores", tuple(views))
 
     @property
     def dimension(self) -> int:
@@ -182,17 +203,6 @@ class TTKernel:
     @property
     def max_rank(self) -> int:
         return max(self.ranks)
-
-    @cached_property
-    def fibers(self) -> np.ndarray:
-        """Every fiber core[rp, :, rn] as a row of one read-only
-        (sum of R_prev * R_next, N) array: core by core, rp-major within a
-        core.  Built on first use; the FFT gain weights these rows."""
-        fibers = np.concatenate(
-            [core.transpose(0, 2, 1).reshape(-1, self.n_classes) for core in self.cores]
-        )
-        fibers.setflags(write=False)
-        return fibers
 
 
 @dataclass(frozen=True)
@@ -296,48 +306,6 @@ class DenseKernel:
 
 
 # ---------------------------------------------------------------------------
-# subset bookkeeping for the constructive TT builder
-# ---------------------------------------------------------------------------
-
-class _SubsetCodec:
-    """Bijection between rank indices and the level-subsets of {1, ..., D}.
-
-    Rank index r (0-based) maps to the r-th subset of the given size in
-    colexicographic order; subsets are stored with strictly increasing
-    1-based mode labels.  Colex order is stable and cheap to invert, so
-    cores built from it are reproducible bit for bit.
-    """
-
-    def __init__(self, dimension: int, level: int):
-        if dimension < 1:
-            raise KernelError("dimension must be >= 1")
-        if not 0 <= level <= dimension:
-            raise KernelError(f"subset size {level} outside [0, {dimension}]")
-        self.dimension = dimension
-        self.level = level
-        subs = sorted(
-            combinations(range(1, dimension + 1), level), key=lambda s: s[::-1]
-        )
-        self.subsets: tuple[tuple[int, ...], ...] = tuple(subs)
-        self._rank_of = {s: r for r, s in enumerate(self.subsets)}
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-    def decode(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < len(self.subsets):
-            raise KernelError(f"rank {rank} outside [0, {len(self.subsets)})")
-        return self.subsets[rank]
-
-    def encode(self, subset) -> int:
-        key = tuple(sorted(int(s) for s in subset))
-        try:
-            return self._rank_of[key]
-        except KeyError:
-            raise KernelError(f"{key} is not a {self.level}-subset of 1..{self.dimension}") from None
-
-
-# ---------------------------------------------------------------------------
 # element evaluators
 # ---------------------------------------------------------------------------
 
@@ -426,21 +394,21 @@ def build_brownian_tt(spec: BrownianSpec, n_classes: int) -> TTKernel:
         raise KernelError("n_classes must be >= 1")
     d = spec.dimension
     pows = [_power_vector(n_classes, mu) for mu in spec.exponents]
-    codecs = [_SubsetCodec(d, lam) for lam in range(d + 1)]
+    # the lam-subsets of labels 1..D in colexicographic order, each with
+    # increasing labels; rank r of level lam is the r-th of them
+    levels = [
+        sorted(combinations(range(1, d + 1), lam), key=lambda s: s[::-1])
+        for lam in range(d + 1)
+    ]
 
     cores = []
-    first = np.zeros((1, n_classes, d))
-    for r, (label,) in enumerate(codecs[1].subsets):
-        first[0, :, r] = pows[label - 1]
-    cores.append(first)
-
-    for lam in range(2, d + 1):
-        prev, cur = codecs[lam - 1], codecs[lam]
-        core = np.zeros((len(prev), n_classes, len(cur)))
-        for rc, subset in enumerate(cur.subsets):
+    for lam in range(1, d + 1):
+        prev = {subset: r for r, subset in enumerate(levels[lam - 1])}
+        core = np.zeros((len(prev), n_classes, len(levels[lam])))
+        for rc, subset in enumerate(levels[lam]):
             for label in subset:
                 rest = tuple(x for x in subset if x != label)
-                core[prev.encode(rest), :, rc] = pows[label - 1]
+                core[prev[rest], :, rc] = pows[label - 1]
         cores.append(core)
 
     return TTKernel(tuple(cores))
@@ -506,6 +474,8 @@ def _load_table(path: str, dimension: int, n_classes: int) -> np.ndarray:
         raise KernelError(
             f"kernel table {path} holds {flat.size} values, expected {expected}"
         )
+    if not np.isfinite(flat).all():
+        raise KernelError(f"kernel table {path} holds a NaN or infinite coefficient")
     return flat.reshape((n_classes,) * dimension)
 
 

@@ -2,11 +2,11 @@
 
 An `ExecutionPlan` carries a worker count, and no right-hand side reads
 it: a gain transforms its fibers with `numpy.fft`, which has no thread
-option, in buffers it allocates per call, and the loss contractions run
-in the calling thread too.  Every worker count therefore gives the
-same bits and, up to noise, the same time as one worker: the acceptance
-suite's scaling problem (D = 3, N = 2^17, timed by
-`run_scaling_benchmark` below) ran 0.90-1.12x at 4 workers against 1
+option, in buffers it allocates per call, and a loss takes its two
+matrix-vector products in the calling thread too.  Every worker count
+therefore gives the same bits and, up to noise, the same time as one
+worker: the acceptance suite's scaling problem (D = 3, N = 2^17, timed
+by `run_scaling_benchmark` below) ran 0.90-1.12x at 4 workers against 1
 in four runs on a 2-core Xeon.  The count is still accepted because the
 CLI, the config and the benchmark harness pass it.
 """

@@ -8,11 +8,12 @@ O(m**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: the kernel's
 fiber rows, prepared once per kernel, weighted with size i stored at
 slot i-1 and zero-padded to an alias-free length of at least d(m-1) + 1,
-in buffers allocated per call) and the loss through mode contractions,
-for O(m log m) work per rank pair.  Here m is the state's occupied
-size, the largest k with n_k != 0: sizes above m contribute nothing, so
-every path reads sizes 1..m only and returns exact zeros where the sums
-are empty (gain above min(R, d*m), loss above m).
+in buffers allocated per call) and the loss through two matrix-vector
+products with the same fiber rows, for O(m log m) work per rank pair.
+Here m is the state's occupied size, the largest k with n_k != 0: sizes
+above m contribute nothing, so every path reads sizes 1..m only and
+returns exact zeros where the sums are empty (gain above min(R, d*m),
+loss above m).
 
 Every operator takes a state over sizes 1..R for any R <= the kernel's
 N, treats the sizes above R as empty, and returns vectors over 1..R:
@@ -332,7 +333,8 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Whole-range seams: each runs fn(0, total) once, in the calling thread.
-# The loss contractions call `map_blocked`; nothing calls `run_blocked`.
+# The TT and CP losses take their moments through `map_blocked`; nothing
+# calls `run_blocked`.
 # Both exist only because the benchmark's tracer wraps these two names in
 # this module and reads their (total, workers, fn) arguments; the
 # benchmark change of ROADMAP direction 1 deletes them.
@@ -387,7 +389,8 @@ def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) 
     above m has a zero product.  Pipeline, in an (r, L) array `real` and
     an (r, L // 2 + 1) array `spectra` that each call allocates: (1)
     weight the first m columns of every fiber row by the concentrations
-    in one broadcast product, size i at column i-1, zeros above; (2)
+    in one broadcast product, size i at column i-1, and zero-fill the
+    columns above, the only ones the weighting leaves unwritten; (2)
     transform all rows in one call; (3) `fold(spectra)` combines the
     spectra in place and returns the row that holds the combined
     spectrum; (4) inverse-transform it into real row 0; (5) index sum k
@@ -411,7 +414,8 @@ def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) 
         return p
     length = plan.fft_length(order, occupied)
     _pin_malloc_thresholds()
-    real = np.zeros((len(fibers), length))
+    real = np.empty((len(fibers), length))
+    real[:, occupied:] = 0.0
     spectra = np.empty((len(fibers), length // 2 + 1), dtype=np.complex128)
     np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
     _fft.rfft(real, axis=1, out=spectra)
@@ -459,35 +463,41 @@ def rhs_tt_P(
     return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
 
 
-def _contract_core(core: np.ndarray, n: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-    # V[rp, rn] = sum_i core[rp, i, rn] * n_i
-    return map_blocked(
-        core.shape[1],
-        plan.workers,
-        lambda lo, hi: np.einsum("rns,n->rs", core[:, lo:hi, :], n[lo:hi]),
-    )
-
-
 def rhs_tt_Q(
     kernel: TTKernel, state: ConcentrationState, plan: ExecutionPlan | None = None
 ) -> np.ndarray:
-    """Loss vector through the TT kernel.
+    """Loss vector through the TT kernel, O(m R^2 d).
 
-    The first d-1 cores are contracted with the state and chained into a
-    row vector over the last internal rank; the last core supplies the
+    With V_lam[rp, rn] = sum_i core_lam[rp, i, rn] n_i over the occupied
+    sizes, the moments of every fiber row but the last core's come from
+    one matrix-vector product with the kernel's fiber rows; the first d-1
+    cores' blocks chain into a vector over the last internal rank, and
+    one more matrix-vector product with the last core's rows gives the
     per-size tail.  Valid for symmetric kernels, where fixing the particle
-    size at the last mode loses no generality.  Contractions and tail run
-    over the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
+    size at the last mode loses no generality.  Moments and tail run over
+    the occupied sizes 1..m only; q_k is an exact 0.0 for k > m.
     """
-    plan = plan or SERIAL_PLAN
     d = _check_pair(kernel, state)
     occupied = state.occupied_size
     n = state.n[:occupied]
-    w = _contract_core(kernel.cores[0][:, :occupied], n, plan)  # (1, R1)
-    for lam in range(1, d - 1):
-        w = w @ _contract_core(kernel.cores[lam][:, :occupied], n, plan)
-    tail = w[0] @ kernel.cores[d - 1][:, :occupied, 0]
-    return _loss(n, tail, math.factorial(d - 1), np.zeros(state.n_classes))
+    ranks = kernel.ranks
+    fibers = kernel.fibers[:, :occupied]
+    last_core = len(fibers) - ranks[d - 1]  # its R_{d-1} rows end `fibers`
+    moments = map_blocked(
+        occupied,
+        (plan or SERIAL_PLAN).workers,
+        lambda lo, hi: np.dot(fibers[:last_core, lo:hi], n[lo:hi]),
+    )
+    w = moments[: ranks[1]]
+    start = ranks[1]
+    for r_prev, r_next in zip(ranks[1 : d - 1], ranks[2:d]):
+        w = w @ moments[start : start + r_prev * r_next].reshape(r_prev, r_next)
+        start += r_prev * r_next
+    # the tail is formed in the head of q, then scaled there by `_loss`
+    q = np.zeros(state.n.size)
+    tail = q[:occupied]
+    np.dot(w, fibers[last_core:], out=tail)
+    return _loss(n, tail, math.factorial(d - 1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +519,10 @@ def _cp_fold(spectra, order: int):
 
 def _gain_operands(kernel):
     """(fibers, fold, scale) of the FFT gain of a TT, CP or symmetrized CP
-    kernel: its fiber rows as one (r, N) array, the in-place fold of
-    their spectra, and the factor on the folded convolution.  Built on
-    the kernel's first gain and kept on the kernel, which is immutable."""
+    kernel: the (r, N) array `fibers` that stores the kernel, the in-place
+    fold of their spectra, and the factor on the folded convolution.
+    Built on the kernel's first gain and kept on the kernel, which is
+    immutable; the rows are the kernel's own, not a copy."""
     operands = kernel.__dict__.get("_gain_operands")
     if operands is None:
         d = kernel.dimension
@@ -543,13 +554,6 @@ def rhs_cp_P(
     """
     d = _check_pair(kernel, state)
     return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
-
-
-@lru_cache(maxsize=None)
-def _off_diagonal(order: int) -> np.ndarray:
-    mask = ~np.eye(order, dtype=bool)
-    mask.setflags(write=False)
-    return mask
 
 
 def rhs_cp_Q(
@@ -586,9 +590,13 @@ def rhs_cp_Q(
     q = np.zeros(state.n.size)
     tail = q[:occupied]
     if isinstance(kernel, SymmetrizedCPKernel):
-        # others[r, m] = prod_{m' != m} S[m', r], the modes in order
-        others = np.where(_off_diagonal(d), moments[:, None, :], 1.0).prod(axis=2)
-        np.dot(others.ravel(), fibers, out=tail)
+        # others[r * d + m] = prod_{m' != m} S[m', r], the modes in order
+        others = [
+            math.prod(row[:m] + row[m + 1 :])
+            for row in moments.tolist()
+            for m in range(d)
+        ]
+        np.dot(others, fibers, out=tail)
         return _loss(n, tail, 1.0, q)
     np.dot(moments[:, : d - 1].prod(axis=1), fibers[d - 1 :: d], out=tail)
     return _loss(n, tail, math.factorial(d - 1), q)

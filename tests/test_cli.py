@@ -245,6 +245,32 @@ def test_simulate_and_verify_with_table_kernel(tmp_path, capsys):
     assert "nothing to verify" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+def test_table_with_a_non_finite_coefficient_is_a_validation_error(
+    tmp_path, capsys, binary, bad
+):
+    # read as given, the bad pair ends a run as a numerical failure and
+    # passes verify; both commands must refuse the file instead
+    table = np.ones((4, 4))
+    table[1, 2] = table[2, 1] = bad
+    if binary:
+        table_path = tmp_path / "pair_rates.bin"
+        table.astype("<f8").ravel().tofile(table_path)
+    else:
+        table_path = tmp_path / "pair_rates.txt"
+        np.savetxt(table_path, table)
+    config_path = write_config(
+        tmp_path,
+        N=4,
+        kernels={"2": {"type": "table", "D": 2, "table_path": str(table_path)}},
+    )
+    for command in ("simulate", "verify"):
+        assert cli.main([command, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(table_path) in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     config_path = write_config(

@@ -1,7 +1,7 @@
 """Kernel containers, element evaluators, and the constructive TT builder."""
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from ttagg.kernels import (
     symmetrized_cp_element,
     tt_element,
     tt_max_rank_bound,
-    _SubsetCodec,
 )
 from ttagg.rhs import kernel_element
 
@@ -164,16 +163,20 @@ def test_brownian_tt_core_structure(dimension):
     n_classes = 6
     kernel = build_brownian_tt(BrownianSpec(tuple(mu)), n_classes)
     sizes = np.arange(1.0, n_classes + 1.0)
-    codecs = [_SubsetCodec(dimension, lam) for lam in range(dimension + 1)]
+    # rank r of level lam is the r-th lam-subset of 1..D in colex order
+    levels = [
+        sorted(combinations(range(1, dimension + 1), lam), key=lambda s: s[::-1])
+        for lam in range(dimension + 1)
+    ]
     for lam in range(1, dimension):
         core = kernel.cores[lam]
-        prev, cur = codecs[lam], codecs[lam + 1]
+        assert core.shape == (len(levels[lam]), n_classes, len(levels[lam + 1]))
         nonzero_pairs = 0
         for rp in range(core.shape[0]):
             for rn in range(core.shape[2]):
                 fiber = core[rp, :, rn]
-                s_prev = set(prev.decode(rp))
-                s_next = set(cur.decode(rn))
+                s_prev = set(levels[lam][rp])
+                s_next = set(levels[lam + 1][rn])
                 if s_prev < s_next:
                     (label,) = s_next - s_prev
                     np.testing.assert_allclose(
@@ -323,7 +326,7 @@ def test_brownian_dense_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# rank bound and subset codec
+# rank bound
 # ---------------------------------------------------------------------------
 
 def test_tt_max_rank_bound_values():
@@ -332,33 +335,6 @@ def test_tt_max_rank_bound_values():
     assert tt_max_rank_bound(6) == 20
     with pytest.raises(KernelError):
         tt_max_rank_bound(1)
-
-
-def test_subset_codec_is_a_colex_bijection():
-    codec = _SubsetCodec(5, 2)
-    assert len(codec) == math.comb(5, 2)
-    seen = set()
-    for rank in range(len(codec)):
-        subset = codec.decode(rank)
-        assert list(subset) == sorted(subset)
-        assert codec.encode(subset) == rank
-        seen.add(subset)
-    assert len(seen) == len(codec)
-    # colex: compare from the largest element down
-    ordered = sorted(codec.subsets, key=lambda s: s[::-1])
-    assert list(codec.subsets) == ordered
-    assert codec.subsets[0] == (1, 2)
-    assert codec.subsets[-1] == (4, 5)
-
-
-def test_subset_codec_errors():
-    codec = _SubsetCodec(4, 2)
-    with pytest.raises(KernelError):
-        codec.decode(len(codec))
-    with pytest.raises(KernelError):
-        codec.encode((1, 2, 3))
-    with pytest.raises(KernelError):
-        _SubsetCodec(4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +350,34 @@ def test_tt_kernel_validation():
         TTKernel((np.ones((1, 4, 2)), np.ones((2, 5, 1))))
     with pytest.raises(KernelError, match="two cores"):
         TTKernel((np.ones((1, 4, 1)),))
+
+
+def test_tt_cores_are_read_only_views_of_one_fiber_array():
+    rng = np.random.default_rng(8)
+    given = (rng.random((1, 5, 2)), rng.random((2, 5, 3)), rng.random((3, 5, 1)))
+    kernel = TTKernel(given)
+    fibers = kernel.fibers
+    assert fibers.dtype == np.float64 and fibers.shape == (2 + 6 + 3, 5)
+    assert not fibers.flags.writeable
+    # row (rp, rn) of each core, core by core, rp-major within a core
+    rows = [
+        core[rp, :, rn]
+        for core in given
+        for rp in range(core.shape[0])
+        for rn in range(core.shape[2])
+    ]
+    np.testing.assert_array_equal(fibers, np.array(rows))
+    for core, source in zip(kernel.cores, given):
+        assert not core.flags.writeable
+        assert np.shares_memory(core, fibers)
+        np.testing.assert_array_equal(core, source)
+    # the kernel holds a copy: the caller's arrays stay writable and apart
+    given[1][0, 0, 0] = -1.0
+    assert kernel.cores[1][0, 0, 0] != -1.0
+    for built in (build_brownian_tt(BrownianSpec((0.5, -0.5, 0.25, 0.0)), 7),
+                  constant_tt(2.0, 3, 7)):
+        assert all(np.shares_memory(core, built.fibers) for core in built.cores)
+        assert len(built.fibers) == sum(rp * rn for rp, rn in zip(built.ranks, built.ranks[1:]))
 
 
 def test_cp_kernel_validation():

@@ -25,6 +25,7 @@ from ttagg.kernels import (
     constant_tt,
     dense_from_cp,
     dense_from_spec,
+    dense_from_tt,
 )
 from ttagg.parallel import ExecutionPlan
 from ttagg.rhs import (
@@ -286,6 +287,57 @@ def test_cp_losses_match_the_dense_oracle_and_the_mode_loop(form, order, rank):
         ref = loss_by_mode_loop(kernel, state.n)
         bound = order * (n_classes + order * rank) * np.finfo(float).eps
         np.testing.assert_allclose(q, ref, rtol=bound, atol=0.0)
+
+
+def loss_by_core_loop(kernel, n):
+    """The TT loss one core at a time, each contracted with the state by
+    its own einsum: the same terms as `rhs_tt_Q`, which takes the moments
+    and the tail in one matrix-vector product each and so sums them in
+    another order."""
+    d = kernel.dimension
+    cores = [core[:, : n.size] for core in kernel.cores]
+    w = np.einsum("rns,n->rs", cores[0], n)
+    for core in cores[1 : d - 1]:
+        w = w @ np.einsum("rns,n->rs", core, n)
+    tail = w[0] @ cores[d - 1][:, :, 0]
+    return -(n * tail) / math.factorial(d - 1)
+
+
+def random_tt(order, n_classes, rng):
+    # nonnegative cores at internal ranks 1..3; not symmetric, which the
+    # loss and its references contract the same way regardless
+    ranks = [1, *rng.integers(1, 4, order - 1), 1]
+    return TTKernel(
+        tuple(rng.random((rp, n_classes, rn)) for rp, rn in zip(ranks, ranks[1:]))
+    )
+
+
+@pytest.mark.parametrize("kind", ["brownian", "random"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_tt_loss_matches_the_dense_oracle_and_the_core_loop(order, kind):
+    rng = np.random.default_rng(order * 10 + len(kind))
+    n_classes = _SYMMETRIZED_N[order]
+    if kind == "brownian":
+        kernel = build_brownian_tt(BrownianSpec(tuple(rng.uniform(-1, 1, order))), n_classes)
+    else:
+        kernel = random_tt(order, n_classes, rng)
+    dense = dense_from_tt(kernel)
+    # every term is nonnegative, so each moment, a sum of at most N terms,
+    # each of the d-1 chained products and the tail, sums of at most R
+    # terms, moves by that many ulps at most between summation orders
+    bound = order * (n_classes + order * kernel.max_rank) * np.finfo(float).eps
+    # two full states, a head over the first N/2 sizes (R < N), and one
+    # whose occupied sizes end at 3 below its R = N/2
+    head = rng.random(n_classes // 2)
+    narrow = head.copy()
+    narrow[3:] = 0.0
+    for n in (rng.random(n_classes), rng.random(n_classes), head, narrow):
+        state = ConcentrationState(n)
+        q = rhs_tt_Q(kernel, state)
+        assert q.shape == (n.size,)
+        ref = rhs_dense_Q(dense, state)
+        assert rel_inf(q, ref) <= 1e-13
+        np.testing.assert_allclose(q, loss_by_core_loop(kernel, n), rtol=bound, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +803,7 @@ def _in_a_fresh_thread(fn):
     return out[0]
 
 
-def test_reused_workspace_gives_the_bits_of_a_fresh_one():
+def test_gains_at_one_length_zero_above_the_occupied_sizes():
     # two states at one transform length, evaluated in turn: each gain
     # gives the bits it gives in a thread that has run no gain, so the
     # smaller state sees zeros above its sizes whatever ran before it
@@ -786,9 +838,11 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
     ],
     ids=["tt-d3", "cp-rank2-d3", "symmetrized-cp-d4"],
 )
-def test_gains_at_shrinking_lengths_keep_the_bits_of_a_fresh_workspace(make_kernel):
+def test_gains_at_shrinking_lengths_zero_above_the_occupied_sizes(make_kernel):
     # gains at a long, a short and the long length again, in one thread,
-    # give the bits of each gain run alone in a thread of its own
+    # give the bits of each gain run alone in a thread of its own: each
+    # sees zeros above its occupied sizes, whatever the buffers freed by
+    # the gain before it held
     n_classes = 2048
     kernel = make_kernel(n_classes)
     gain = rhs_tt_P if isinstance(kernel, TTKernel) else rhs_cp_P
