@@ -185,8 +185,11 @@ def cmd_verify(config_path: str, seed: int | None = None,
 
 
 def _rel_inf(got: np.ndarray, ref: np.ndarray) -> float:
+    # a non-finite difference is an error of inf: `max` drops a NaN
     scale = float(np.abs(ref).max())
     diff = float(np.abs(got - ref).max())
+    if not np.isfinite(diff):
+        return np.inf
     return diff / scale if scale else diff
 
 
@@ -242,7 +245,11 @@ def main(argv=None) -> int:
     p_ben.add_argument("--workers", default="1,2,4", help="comma-separated counts")
     p_ben.add_argument("--output", default=None, help="output directory override")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the numerical-failure code here
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, output_dir=args.output,

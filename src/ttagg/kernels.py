@@ -60,8 +60,10 @@ def _power(size: int, exponent: float) -> float:
 
 
 def _power_vector(n_classes: int, exponent: float) -> np.ndarray:
+    # a power that overflows is an inf, which `KernelSet` refuses
     sizes = np.arange(1, n_classes + 1, dtype=np.float64)
-    return np.exp(exponent * np.log(sizes))
+    with np.errstate(over="ignore"):
+        return np.exp(exponent * np.log(sizes))
 
 
 def _validated_index(idx, dimension: int, n_classes: int | None = None) -> tuple[int, ...]:
@@ -438,7 +440,8 @@ def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCP
     # row m is _power_vector(n_classes, mu_m), computed in place
     sizes = np.arange(1, n_classes + 1, dtype=np.float64)
     fibers = np.multiply.outer(np.array(spec.exponents), np.log(sizes))
-    np.exp(fibers, out=fibers)
+    with np.errstate(over="ignore"):
+        np.exp(fibers, out=fibers)
     return SymmetrizedCPKernel._from_fibers(fibers, spec.dimension)
 
 

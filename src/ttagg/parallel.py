@@ -17,13 +17,10 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from scipy.fft import next_fast_len
-
 from .kernels import KernelError
 
 __all__ = [
     "ExecutionPlan",
-    "SERIAL_PLAN",
     "BenchReport",
     "run_scaling_benchmark",
 ]
@@ -35,14 +32,8 @@ class ExecutionPlan:
 
     `workers` is validated and kept, but no right-hand side reads it:
     every step of a gain and a loss runs in the calling thread, so results
-    are bitwise equal for every worker count.
-
-    `fft_length` is the transform length of an order-d gain on N size
-    classes.  Sizes 1..N sit at columns 0..N-1, so index sums of d sizes
-    fill columns 0..d(N-1) and any length of at least d(N-1) + 1 is
-    alias-free; the length is the smallest 5-smooth one at or above that
-    bound.  The gain passes its state's occupied size for N: sizes above
-    it are zero.
+    are bitwise equal for every worker count.  A gain's transform length
+    is `rhs.fft_length` of its order and state.
 
     `fft_length_policy` has one accepted value, "fast".  The field stays
     only because the benchmark harness passes it through from the config.
@@ -59,12 +50,6 @@ class ExecutionPlan:
                 f"unknown fft_length_policy {self.fft_length_policy!r}; "
                 "the only one is 'fast'"
             )
-
-    def fft_length(self, order: int, n_classes: int) -> int:
-        return next_fast_len(order * (n_classes - 1) + 1, real=True)
-
-
-SERIAL_PLAN = ExecutionPlan()
 
 
 # ---------------------------------------------------------------------------

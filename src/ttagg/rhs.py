@@ -5,11 +5,11 @@ all d-tuples of sizes summing to k; the loss vector drains size k in
 proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(m**d) and serve as ground truth; the tensor-train and CP paths push
-the gain through one shared FFT scaffold (`_fft_gain`: the kernel's
-fiber rows, prepared once per kernel, weighted with size i stored at
-slot i-1 and zero-padded to an alias-free length of at least d(m-1) + 1,
-in buffers allocated per call) and the loss through two matrix-vector
-products with the same fiber rows, for O(m log m) work per rank pair.
+the gain through one shared FFT scaffold (`_fft_gain`: the kernel's own
+fiber rows, weighted with size i stored at slot i-1 and zero-padded to
+an alias-free length of at least d(m-1) + 1, in buffers allocated per
+call) and the loss through two matrix-vector products with the same
+fiber rows, for O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
@@ -31,10 +31,11 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import numpy.fft as _fft
+from scipy.fft import next_fast_len
 
 from .kernels import (
     CPKernel,
@@ -47,7 +48,7 @@ from .kernels import (
     symmetrized_cp_element,
     tt_element,
 )
-from .parallel import SERIAL_PLAN, ExecutionPlan
+from .parallel import ExecutionPlan
 
 __all__ = [
     "ConcentrationState",
@@ -171,6 +172,7 @@ def sample_symmetry_violation(kernel, samples: int = 32, seed: int = 0) -> float
 
     The loss operator fixes the particle size at the last mode, which is
     only valid for symmetric kernels; use this to vet user-provided ones.
+    NaN if a sampled coefficient is NaN.
     """
     rng = np.random.default_rng(seed)
     d, n = kernel.dimension, kernel.n_classes
@@ -182,7 +184,10 @@ def sample_symmetry_violation(kernel, samples: int = 32, seed: int = 0) -> float
         for alt_idx in (idx[::-1], rng.permutation(idx)):
             alt = kernel_element(kernel, alt_idx)
             scale = max(abs(ref), abs(alt), 1e-300)
-            worst = max(worst, abs(ref - alt) / scale)
+            violation = abs(ref - alt) / scale
+            if math.isnan(violation):  # `max` would drop it
+                return math.nan
+            worst = max(worst, violation)
     return worst
 
 
@@ -223,6 +228,10 @@ class KernelSet:
                 n_classes = kernel.n_classes
             elif kernel.n_classes != n_classes:
                 raise KernelError("all kernels in a set must share the same N")
+            # min and max are NaN if any entry is, and need no temporary
+            coeffs = kernel.values if isinstance(kernel, DenseKernel) else kernel.fibers
+            if not (math.isfinite(coeffs.min()) and math.isfinite(coeffs.max())):
+                raise KernelError(f"kernel for order {d} has a non-finite coefficient")
             checked[d] = kernel
         for d, kernel in checked.items():
             # a symmetrized CP kernel is symmetric by construction, and its
@@ -379,24 +388,33 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) -> np.ndarray:
-    """Truncated order-d gain from FFT convolutions of weighted fibers.
+def fft_length(order: int, occupied: int) -> int:
+    """Transform length of an order-d gain on a state with occupied size m.
 
-    `gain` is a kernel's `_gain_operands`: its fiber rows, an (r, N)
-    array, the fold of their spectra and the scale.  The state covers
-    sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
+    Sizes 1..m sit at columns 0..m-1, so index sums of d sizes fill
+    columns 0..d(m-1) and any length of at least d(m-1) + 1 is
+    alias-free; the length is the smallest 5-smooth one at that bound.
+    """
+    return next_fast_len(order * (occupied - 1) + 1, real=True)
+
+
+def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
+    """Truncated order-d gain of a TT, CP or symmetrized CP kernel by FFT.
+
+    The kernel's `fibers`, an (r, N) array, are read in place; the state
+    covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
     (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
     above m has a zero product.  Pipeline, in an (r, L) array `real` and
     an (r, L // 2 + 1) array `spectra` that each call allocates: (1)
     weight the first m columns of every fiber row by the concentrations
     in one broadcast product, size i at column i-1, and zero-fill the
     columns above, the only ones the weighting leaves unwritten; (2)
-    transform all rows in one call; (3) `fold(spectra)` combines the
-    spectra in place and returns the row that holds the combined
+    transform all rows in one call; (3) `_tt_fold` or `_cp_fold` combines
+    the spectra in place and returns the row that holds the combined
     spectrum; (4) inverse-transform it into real row 0; (5) index sum k
     of d sizes sits at column k - d, so columns 0..top-d give
-    p_d..p_top, times `scale`, with top = min(R, d*m).  The largest
-    index sum fills column d(m-1), so the plan's length L >= d(m-1) + 1
+    p_d..p_top, times the kernel's scale, with top = min(R, d*m).  The
+    largest index sum fills column d(m-1), and L = `fft_length(d, m)`
     keeps every column alias-free.  Every other entry of p is an exact
     0.0; so is all of p for an all-zero state, which skips the
     transforms.  The buffers are fresh per call; `_pin_malloc_thresholds`
@@ -405,22 +423,30 @@ def _fft_gain(gain, state: ConcentrationState, order: int, plan: ExecutionPlan) 
     Every step runs in the calling thread, so the output is bitwise the
     same for every worker count.
     """
-    fibers, fold, scale = gain
+    order = _check_pair(kernel, state)
+    fibers = kernel.fibers
     n = state.n
     occupied = state.occupied_size
     top = min(n.size, order * occupied)
     p = np.zeros(n.size)
     if top < order:
         return p
-    length = plan.fft_length(order, occupied)
+    length = fft_length(order, occupied)
     _pin_malloc_thresholds()
     real = np.empty((len(fibers), length))
     real[:, occupied:] = 0.0
     spectra = np.empty((len(fibers), length // 2 + 1), dtype=np.complex128)
     np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
     _fft.rfft(real, axis=1, out=spectra)
+    if isinstance(kernel, TTKernel):
+        folded = _tt_fold(spectra, kernel.ranks)
+    else:
+        folded = _cp_fold(spectra, order)
+    # a symmetrized kernel's d! slot orders each give the same
+    # convolution, which cancels the gain's 1/d!
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
     coeffs = real[0]
-    _fft.irfft(fold(spectra), n=length, out=coeffs)
+    _fft.irfft(folded, n=length, out=coeffs)
     np.multiply(coeffs[: top - order + 1], scale, out=p[order - 1 : top])
     return p
 
@@ -459,8 +485,7 @@ def rhs_tt_P(
     inverse transform gives the index-sum convolution, scaled by 1/d!.
     See `_fft_gain` for the layout and the alias-free transform length.
     """
-    d = _check_pair(kernel, state)
-    return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
+    return _fft_gain(kernel, state)
 
 
 def rhs_tt_Q(
@@ -485,7 +510,7 @@ def rhs_tt_Q(
     last_core = len(fibers) - ranks[d - 1]  # its R_{d-1} rows end `fibers`
     moments = map_blocked(
         occupied,
-        (plan or SERIAL_PLAN).workers,
+        plan.workers if plan is not None else 1,
         lambda lo, hi: np.dot(fibers[:last_core, lo:hi], n[lo:hi]),
     )
     w = moments[: ranks[1]]
@@ -517,26 +542,6 @@ def _cp_fold(spectra, order: int):
     return acc
 
 
-def _gain_operands(kernel):
-    """(fibers, fold, scale) of the FFT gain of a TT, CP or symmetrized CP
-    kernel: the (r, N) array `fibers` that stores the kernel, the in-place
-    fold of their spectra, and the factor on the folded convolution.
-    Built on the kernel's first gain and kept on the kernel, which is
-    immutable; the rows are the kernel's own, not a copy."""
-    operands = kernel.__dict__.get("_gain_operands")
-    if operands is None:
-        d = kernel.dimension
-        if isinstance(kernel, TTKernel):
-            fold = partial(_tt_fold, ranks=kernel.ranks)
-        else:
-            fold = partial(_cp_fold, order=d)
-        # a symmetrized kernel's d! slot orders each give the same
-        # convolution, which cancels the gain's 1/d!
-        scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
-        operands = kernel.__dict__["_gain_operands"] = (kernel.fibers, fold, scale)
-    return operands
-
-
 def rhs_cp_P(
     kernel: CPKernel | SymmetrizedCPKernel,
     state: ConcentrationState,
@@ -552,8 +557,7 @@ def rhs_cp_P(
     kernel's d! slot orders each contribute the same convolution, which
     cancels it, so its weight is 1.
     """
-    d = _check_pair(kernel, state)
-    return _fft_gain(_gain_operands(kernel), state, d, plan or SERIAL_PLAN)
+    return _fft_gain(kernel, state)
 
 
 def rhs_cp_Q(
@@ -583,7 +587,7 @@ def rhs_cp_Q(
     # Xeon)
     moments = map_blocked(
         occupied,
-        (plan or SERIAL_PLAN).workers,
+        plan.workers if plan is not None else 1,
         lambda lo, hi: np.dot(fibers[:, lo:hi], n[lo:hi]),
     ).reshape(-1, d)
     # the tail is formed in the head of q, then scaled there by `_loss`

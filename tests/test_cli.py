@@ -283,6 +283,21 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_kernel_with_overflowing_powers_is_a_validation_error(tmp_path, capsys):
+    # 64**200 overflows a double, so the Brownian factor holds an inf;
+    # both commands refuse the kernel instead of running or passing it
+    config_path = write_config(
+        tmp_path,
+        N=64,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [200, 0, 0]}},
+    )
+    for command in ("simulate", "verify"):
+        assert cli.main([command, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite coefficient" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -376,6 +391,18 @@ def test_verify_detects_corrupted_cores(tmp_path, monkeypatch, capsys):
     assert "FAIL" in out
     assert "order 3, symmetrized CP:" in out and "order 3, constructive TT:" in out
 
+    # a NaN is an error of inf, not one that the running maximum drops
+    def nan_tt(spec, n_classes):
+        cores = [c.copy() for c in original_tt(spec, n_classes).cores]
+        cores[1][0, 0, 0] = np.nan
+        return TTKernel(tuple(cores))
+
+    monkeypatch.setattr(cli, "build_brownian_tt", nan_tt)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    assert "constructive TT: max relative error P = inf, Q = inf" in out
+    assert "verify: FAIL" in out
+
 
 def test_simulate_with_oracle_gate(tmp_path, capsys):
     config_path = write_config(
@@ -429,6 +456,24 @@ def test_bench_rejects_bad_worker_list(tmp_path, capsys):
     config_path = write_config(tmp_path)
     assert cli.main(["bench", "--config", config_path, "--workers", "1,x"]) == 1
     assert "worker list" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["frobnicate"], []], ids=["no-config", "unknown", "empty"]
+)
+def test_malformed_command_line_is_a_validation_error(argv, capsys):
+    # argparse's own exit code, 2, is the numerical-failure code here
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "simulate" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

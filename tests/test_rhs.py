@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import ttagg.rhs
 from ttagg.config import SimulationConfig, build_kernel_set
 from ttagg.integrator import InitialCondition, TimeGrid, integrate
 from ttagg.kernels import (
@@ -654,22 +655,22 @@ def test_four_workers_give_the_serial_tt_bits():
     np.testing.assert_array_equal(rhs_total(kernels, state, plan).s, ref)
 
 
-class _Pow2Plan(ExecutionPlan):
-    # a longer alias-free length: the smallest power of two at the bound
-    def fft_length(self, order, n_classes):
-        return 1 << (order * (n_classes - 1)).bit_length()
-
-
-def test_any_alias_free_length_gives_the_gain():
+def test_any_alias_free_length_gives_the_gain(monkeypatch):
     # any alias-free transform length gives the gain up to roundoff
     rng = np.random.default_rng(73)
     state = ConcentrationState(rng.random(48))
-    fast, pow2 = ExecutionPlan(), _Pow2Plan()
-    assert fast.fft_length(3, 48) < pow2.fft_length(3, 48)  # 144 against 256
     tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
-    assert rel_inf(rhs_tt_P(tt, state, fast), rhs_tt_P(tt, state, pow2)) <= 1e-12
     sym = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
-    assert rel_inf(rhs_cp_P(sym, state, fast), rhs_cp_P(sym, state, pow2)) <= 1e-12
+    fast = rhs_tt_P(tt, state), rhs_cp_P(sym, state)
+
+    def pow2(order, occupied):
+        # a longer alias-free length: the smallest power of two at the bound
+        return 1 << (order * (occupied - 1)).bit_length()
+
+    assert ttagg.rhs.fft_length(3, 48) < pow2(3, 48)  # 144 against 256
+    monkeypatch.setattr(ttagg.rhs, "fft_length", pow2)
+    for got, ref in zip((rhs_tt_P(tt, state), rhs_cp_P(sym, state)), fast):
+        assert rel_inf(got, ref) <= 1e-12
 
 
 # N per order keeps the dense oracle small
@@ -696,7 +697,7 @@ def alias_cases(order):
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_gain_is_alias_free_at_the_minimal_length(order, monkeypatch):
     # size i sits at slot i-1, so index sums fill slots 0..d(N-1)
-    monkeypatch.setattr(ExecutionPlan, "fft_length", lambda self, d, n: d * (n - 1) + 1)
+    monkeypatch.setattr(ttagg.rhs, "fft_length", lambda d, n: d * (n - 1) + 1)
     cases, state = alias_cases(order)
     for gain, kernel, dense in cases:
         assert rel_inf(gain(kernel, state), rhs_dense_P(dense, state)) <= 1e-10
@@ -706,7 +707,7 @@ def test_gain_is_alias_free_at_the_minimal_length(order, monkeypatch):
 def test_one_slot_shorter_aliases_into_the_smallest_gain(order, monkeypatch):
     # at L = d(N-1) the index sum d*N, the d-tuple (N, ..., N), wraps onto
     # slot 0, which holds k = d; every other slot stays exact
-    monkeypatch.setattr(ExecutionPlan, "fft_length", lambda self, d, n: d * (n - 1))
+    monkeypatch.setattr(ttagg.rhs, "fft_length", lambda d, n: d * (n - 1))
     cases, state = alias_cases(order)
     corner = (state.n_classes - 1,) * order
     for gain, kernel, dense in cases:
@@ -809,10 +810,9 @@ def test_gains_at_one_length_zero_above_the_occupied_sizes():
     # smaller state sees zeros above its sizes whatever ran before it
     n_classes = 256
     kernel = brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n_classes)
-    plan = ExecutionPlan()
     large = 200
-    length = plan.fft_length(3, large)
-    small = min(m for m in range(2, large) if plan.fft_length(3, m) == length)
+    length = ttagg.rhs.fft_length(3, large)
+    small = min(m for m in range(2, large) if ttagg.rhs.fft_length(3, m) == length)
     assert small < large
     rng = np.random.default_rng(29)
     states = {}
@@ -852,8 +852,8 @@ def test_gains_at_shrinking_lengths_zero_above_the_occupied_sizes(make_kernel):
         n = rng.random(n_classes)
         n[occupied:] = 0.0
         states[occupied] = ConcentrationState(n)
-    plan = ExecutionPlan()
-    assert plan.fft_length(kernel.dimension, 4) < plan.fft_length(kernel.dimension, 1024)
+    length = ttagg.rhs.fft_length
+    assert length(kernel.dimension, 4) < length(kernel.dimension, 1024)
     fresh = {
         m: _in_a_fresh_thread(lambda m=m: gain(kernel, states[m])) for m in states
     }
@@ -979,6 +979,47 @@ def test_symmetry_probe():
     rng = np.random.default_rng(79)
     lopsided = CPKernel(tuple(rng.random((12, 2)) for _ in range(3)))
     assert sample_symmetry_violation(lopsided) > 1e-3
+    # a NaN coefficient is reported, not dropped by the running maximum
+    assert math.isnan(sample_symmetry_violation(DenseKernel(np.full((8, 8), np.nan))))
+    assert math.isnan(sample_symmetry_violation(constant_tt(np.nan, 3, 8)))
+
+
+_NON_FINITE_KERNELS = {
+    "dense-nan": lambda: DenseKernel(np.full((8, 8), np.nan)),
+    "constant-tt-nan": lambda: constant_tt(np.nan, 3, 8),
+    "cp-inf-factor": lambda: CPKernel((np.ones((8, 1)), np.full((8, 1), np.inf))),
+    "symmetrized-cp-nan": lambda: SymmetrizedCPKernel(
+        (np.full((8, 1), np.nan), np.ones((8, 1)))
+    ),
+}
+
+
+@pytest.mark.parametrize("make_kernel", _NON_FINITE_KERNELS.values(), ids=_NON_FINITE_KERNELS)
+def test_kernel_set_refuses_non_finite_coefficients(make_kernel):
+    # a NaN passes the symmetry probe as no violation at all, and a
+    # symmetrized kernel is not probed; each would give a NaN right-hand side
+    kernel = make_kernel()
+    with pytest.raises(KernelError, match=f"order {kernel.dimension} has a non-finite"):
+        KernelSet({kernel.dimension: kernel})
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 32),
+        constant_tt(2.0, 3, 32),
+        CPKernel(tuple(np.full((32, 2), 0.5) for _ in range(3))),
+        brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), 32),
+    ],
+    ids=["tt", "constant-tt", "cp", "symmetrized-cp"],
+)
+def test_gain_writes_nothing_to_its_kernel(kernel):
+    before = dict(vars(kernel))
+    state = ConcentrationState(np.random.default_rng(5).random(32))
+    rhs_gain_loss(kernel, state)
+    rhs_gain_loss(kernel, state, ExecutionPlan(workers=2))
+    assert vars(kernel).keys() == before.keys()
+    assert all(vars(kernel)[name] is value for name, value in before.items())
 
 
 def test_state_validation():
