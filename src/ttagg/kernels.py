@@ -55,8 +55,12 @@ class KernelError(ValueError):
 
 def _power(size: int, exponent: float) -> float:
     # size >= 1, so the log is safe; exp(mu*log i) handles fractional and
-    # negative exponents uniformly (i**0 == 1 exactly).
-    return math.exp(exponent * math.log(size))
+    # negative exponents uniformly (i**0 == 1 exactly).  A power that
+    # overflows is an inf, as in `_power_vector`.
+    try:
+        return math.exp(exponent * math.log(size))
+    except OverflowError:
+        return math.inf
 
 
 def _power_vector(n_classes: int, exponent: float) -> np.ndarray:
@@ -152,11 +156,12 @@ class TTKernel:
     core, row (rp, rn) of a core is its fiber core[rp, :, rn].  Each entry
     of `cores` is a read-only view of it, so a gain weights contiguous
     rows, and a loss takes its moments and its tail in one matrix-vector
-    product each.
+    product each.  `ranks`, (1, R_1, ..., R_{D-1}, 1), is fixed with them.
     """
 
     cores: tuple[np.ndarray, ...]
     fibers: np.ndarray = field(init=False, repr=False, compare=False)
+    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cores = tuple(np.asarray(c, dtype=np.float64) for c in self.cores)
@@ -189,6 +194,7 @@ class TTKernel:
         fibers.setflags(write=False)
         object.__setattr__(self, "fibers", fibers)
         object.__setattr__(self, "cores", tuple(views))
+        object.__setattr__(self, "ranks", (1,) + tuple(c.shape[2] for c in cores))
 
     @property
     def dimension(self) -> int:
@@ -197,10 +203,6 @@ class TTKernel:
     @property
     def n_classes(self) -> int:
         return self.cores[0].shape[1]
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[2] for c in self.cores)
 
     @property
     def max_rank(self) -> int:

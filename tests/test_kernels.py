@@ -92,6 +92,13 @@ def test_brownian_element_guards():
         BrownianSpec((1.0,))
 
 
+def test_brownian_element_overflow_is_inf():
+    # 64**200 is above the float range: the scalar power gives an inf, as
+    # the vector powers of the builders do, instead of an OverflowError
+    assert brownian_element(BrownianSpec((200.0, 0.0, 0.0)), (64, 1, 1)) == math.inf
+    assert brownian_element(BrownianSpec((200.0, 0.0, 0.0)), (1, 1, 1)) == 6.0
+
+
 # ---------------------------------------------------------------------------
 # constructive TT builder
 # ---------------------------------------------------------------------------
@@ -104,6 +111,8 @@ def test_brownian_tt_ranks_are_binomial(dimension):
     expected = tuple(math.comb(dimension, lam) for lam in range(dimension + 1))
     assert kernel.ranks == expected
     assert kernel.max_rank == tt_max_rank_bound(dimension)
+    # fixed at construction: every access returns the same tuple
+    assert kernel.ranks is kernel.ranks
 
 
 def test_brownian_tt_matches_element_exhaustively():

@@ -939,6 +939,113 @@ def test_concurrent_gains_reproduce_the_serial_bits():
 
 
 # ---------------------------------------------------------------------------
+# the streamed CP gain
+# ---------------------------------------------------------------------------
+
+def _batched_cp_gain(kernel, state):
+    """A CP or symmetrized CP gain as one `rfft` over all its fiber rows and
+    an in-place fold of that block: the bits the streamed gain must keep."""
+    d = kernel.dimension
+    occupied = state.occupied_size
+    n = state.n
+    p = np.zeros(n.size)
+    top = min(n.size, d * occupied)
+    if top < d:
+        return p
+    length = ttagg.rhs.fft_length(d, occupied)
+    real = np.zeros((len(kernel.fibers), length))
+    real[:, :occupied] = kernel.fibers[:, :occupied] * n[:occupied]
+    spectra = np.fft.rfft(real, axis=1)
+    acc = spectra[0]
+    for start in range(0, len(spectra), d):
+        first = spectra[start]
+        for spec in spectra[start + 1 : start + d]:
+            np.multiply(first, spec, out=first)
+        if start:
+            np.add(acc, first, out=acc)
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
+    p[d - 1 : top] = np.fft.irfft(acc, n=length)[: top - d + 1] * scale
+    return p
+
+
+_STREAM_N = 4096
+
+# (state length R, occupied size m): full support, a sub-N state, a
+# state of middle width and a narrow one
+_STREAM_STATES = {
+    "full": (_STREAM_N, _STREAM_N),
+    "sub-n": (3000, 3000),
+    "middle": (_STREAM_N, 1500),
+    "narrow": (_STREAM_N, 40),
+}
+
+
+def _stream_kernel(form, order, rank, n_classes=_STREAM_N):
+    rng = np.random.default_rng(100 * order + rank)
+    factors = tuple(rng.uniform(0.5, 1.5, size=(n_classes, rank)) for _ in range(order))
+    return (CPKernel if form == "cp" else SymmetrizedCPKernel)(factors)
+
+
+def _stream_state(which):
+    size, occupied = _STREAM_STATES[which]
+    n = np.random.default_rng(occupied).uniform(0.1, 1.0, size)
+    n[occupied:] = 0.0
+    return ConcentrationState(n)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", ["cp", "symmetrized"])
+def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank):
+    kernel = _stream_kernel(form, order, rank)
+    for which in _STREAM_STATES:
+        state = _stream_state(which)
+        np.testing.assert_array_equal(
+            rhs_cp_P(kernel, state), _batched_cp_gain(kernel, state), err_msg=which
+        )
+
+
+def test_streamed_cp_gain_cases_cover_every_batch_shape():
+    # the cases above run one batch of all rows, batches of whole ranks,
+    # and one-row batches: the budget falls between their lengths
+    shapes = set()
+    for order, rank, which in product((2, 3, 4, 5), (1, 2, 3), _STREAM_STATES):
+        rows = order * rank
+        length = ttagg.rhs.fft_length(order, _STREAM_STATES[which][1])
+        batch = ttagg.rhs._batch_rows(rows, order, length)
+        assert 1 <= batch <= rows
+        assert batch in (1, rows) or batch % order == 0
+        shapes.add("all" if batch == rows else "one" if batch == 1 else "ranks")
+    assert shapes == {"all", "ranks", "one"}
+
+
+def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
+    # at full support a row of L = 49152 is over the batch budget, so the
+    # rows stream through one-row buffers: a rank-4 gain holds at most one
+    # spectrum row more than a rank-1 gain (the product of a later rank),
+    # where one call over all rows held 12 rows of each buffer against 3
+    n_classes, order = 1 << 14, 3
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    length = ttagg.rhs.fft_length(order, n_classes)
+    assert ttagg.rhs._batch_rows(order, order, length) == 1
+    peaks = {}
+    for rank in (1, 2, 4):
+        kernel = _stream_kernel("cp", order, rank, n_classes)
+        rhs_cp_P(kernel, state)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rhs_cp_P(kernel, state)
+            peaks[rank] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    row = (length // 2 + 1) * 16
+    assert abs(peaks[4] - peaks[2]) <= 4096, peaks
+    assert peaks[4] - peaks[1] <= row + 4096, peaks
+
+
+# ---------------------------------------------------------------------------
 # kernel set checks and the symmetry probe
 # ---------------------------------------------------------------------------
 
