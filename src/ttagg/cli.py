@@ -23,12 +23,10 @@ from .integrator import StepFailureError, integrate
 from .kernels import (
     DENSE_ELEMENT_BUDGET,
     BrownianSpec,
-    CPKernel,
     DenseKernel,
     KernelError,
-    SymmetrizedCPKernel,
-    TTKernel,
     build_brownian_tt,
+    constant_tt,
     dense_from_spec,
 )
 from .parallel import run_scaling_benchmark
@@ -46,12 +44,6 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 VERIFY_TOL = 1e-10
-
-_REPRESENTATION_NAMES = {
-    TTKernel: "TT",
-    CPKernel: "CP",
-    SymmetrizedCPKernel: "symmetrized CP",
-}
 
 
 def _fmt(value: float) -> str:
@@ -123,8 +115,9 @@ def cmd_simulate(config_path: str, output_dir: str | None = None,
 
 def _run_verification(config, seed: int | None = None) -> int:
     """Compare the run-time kernel paths against dense oracles on random
-    states; Brownian orders also check the constructive TT, which the
-    run time does not use.  One line per order and representation.
+    states.  An analytic order runs on its symmetrized CP form, and its
+    constructive TT (`build_brownian_tt` or `constant_tt`), which the run
+    time does not use, is checked too.  One line per order and form.
 
     Five states occupy every size; a sixth is zero above max(1, N // 4),
     so the paths trimmed to the occupied sizes are checked too."""
@@ -151,11 +144,11 @@ def _run_verification(config, seed: int | None = None) -> int:
         if isinstance(fast, DenseKernel):
             print(f"order {d}: dense kernel, nothing to verify")
             continue
-        candidates = [(_REPRESENTATION_NAMES[type(fast)], fast)]
         if isinstance(spec, BrownianSpec):
-            candidates.append(
-                ("constructive TT", build_brownian_tt(spec, config.n_classes))
-            )
+            tt = build_brownian_tt(spec, config.n_classes)
+        else:
+            tt = constant_tt(spec.value, d, config.n_classes)
+        candidates = [("symmetrized CP", fast), ("constructive TT", tt)]
         oracle = dense_from_spec(spec, config.n_classes)
         refs = [(rhs_dense_P(oracle, s), rhs_dense_Q(oracle, s)) for s in states]
         for name, kernel in candidates:

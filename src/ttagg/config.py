@@ -21,7 +21,8 @@ from .kernels import (
     TableSpec,
     brownian_symmetrized_cp,
     build_brownian_tt,  # noqa: F401  (perfbench/tracing.py wraps it here)
-    constant_tt,
+    constant_symmetrized_cp,
+    constant_tt,  # noqa: F401  (perfbench/tracing.py wraps it here)
     dense_from_spec,
 )
 from .parallel import ExecutionPlan
@@ -301,15 +302,15 @@ def load_config(path: str) -> SimulationConfig:
 
 
 def build_kernel_set(config: SimulationConfig) -> KernelSet:
-    """Assemble runtime kernels: Brownian specifications get the exact
-    rank-1 symmetrized CP form (d forward transforms per gain), constant
-    ones the rank-1 TT, and tables stay dense."""
+    """Assemble runtime kernels in two forms: Brownian and constant
+    specifications get their exact rank-1 symmetrized CP form (d forward
+    transforms per gain), and tables stay dense."""
     kernels = {}
     for d, spec in config.kernel_specs.items():
         if isinstance(spec, BrownianSpec):
             kernels[d] = brownian_symmetrized_cp(spec, config.n_classes)
         elif isinstance(spec, ConstantSpec):
-            kernels[d] = constant_tt(spec.value, d, config.n_classes)
+            kernels[d] = constant_symmetrized_cp(spec.value, d, config.n_classes)
         else:
             kernels[d] = dense_from_spec(spec, config.n_classes)
     return KernelSet(kernels)

@@ -6,8 +6,8 @@ Brownian coefficients (permutation-symmetrized products of power
 functions of the particle sizes) an exact low-rank tensor-train
 representation is built constructively; its ranks depend only on the
 number of colliding particles, never on the number of size classes.
-The same coefficients are also exactly a symmetrized CP sum of rank 1,
-the form the solver runs them on.
+The same coefficients, and constants, are also exactly a symmetrized CP
+sum of rank 1, the form the solver runs every analytic kernel on.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "tt_max_rank_bound",
     "constant_tt",
     "brownian_symmetrized_cp",
+    "constant_symmetrized_cp",
 ]
 
 # D! permutations are enumerated literally; beyond this the sum is impractical.
@@ -445,6 +446,19 @@ def brownian_symmetrized_cp(spec: BrownianSpec, n_classes: int) -> SymmetrizedCP
     with np.errstate(over="ignore"):
         np.exp(fibers, out=fibers)
     return SymmetrizedCPKernel._from_fibers(fibers, spec.dimension)
+
+
+def constant_symmetrized_cp(
+    value: float, dimension: int, n_classes: int
+) -> SymmetrizedCPKernel:
+    """Exact rank-1 symmetrized CP form of the kernel with every coefficient
+    equal to `value`: factor 1 is value / D!, each other factor is 1, and
+    the D! slot orders add up to `value`."""
+    if dimension < 2:
+        raise KernelError("kernel dimension must be >= 2")
+    fibers = np.ones((dimension, n_classes))
+    fibers[0] = float(value) / math.factorial(dimension)
+    return SymmetrizedCPKernel._from_fibers(fibers, dimension)
 
 
 # ---------------------------------------------------------------------------

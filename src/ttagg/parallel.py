@@ -2,9 +2,9 @@
 
 An `ExecutionPlan` carries a worker count, and no right-hand side reads
 it: a gain transforms its fiber rows with `numpy.fft`, which has no
-thread option, batch after batch in the calling thread and in buffers it
-allocates per call (a TT gain all rows in one batch, a CP gain as many
-rows as fit in `rhs._BATCH_BYTES`), and a loss takes its two
+thread option, in the calling thread and in buffers it allocates per
+call (all rows in one call, or one row per call for a CP gain whose rows
+exceed `rhs._BATCH_BYTES`), and a loss takes its two
 matrix-vector products in the calling thread too.  Every worker count
 therefore gives the same bits and, up to noise, the same time as one
 worker: the acceptance suite's scaling problem (D = 3, N = 2^17, timed

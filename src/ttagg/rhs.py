@@ -8,9 +8,9 @@ O(m**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: the kernel's own
 fiber rows, weighted with size i stored at slot i-1 and zero-padded to
 an alias-free length of at least d(m-1) + 1, in buffers allocated per
-call; a TT gain transforms all its rows in one call, a CP gain streams
-them through batches of at most `_BATCH_BYTES` of real rows, one row
-at a time at full support) and the loss through two matrix-vector
+call; a gain transforms all its rows in one call, except a CP gain
+whose real rows exceed `_BATCH_BYTES`, which streams them one row per
+call, as at full support) and the loss through two matrix-vector
 products with the same fiber rows, for O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
@@ -403,27 +403,16 @@ def fft_length(order: int, occupied: int) -> int:
     return next_fast_len(order * (occupied - 1) + 1, real=True)
 
 
-# Bytes of weighted real rows that a CP gain transforms in one call.  A
-# batched `rfft` costs less time than one call per row, since numpy runs
-# rows in SIMD pairs and pays its fixed cost per call once, but its
-# buffers and numpy's scratch grow with its rows.  Measured on a 2-core
-# Xeon with numpy 2.4.6: up to rows of 64 KiB (L = 8192) one call over 3
-# or 4 rows took 13-50% less time than a call per row, at a few hundred
-# KiB of memory; at L = 393216 one call over 3 rows raised the peak RSS
-# by 15.3 MB and took 22.0 ms, one call per row raised it by 6.1 MB and
-# took 27.6 ms in all.  256 KiB holds 4 rows of 64 KiB, and a 3 MiB
-# full-support row only alone.
+# Bytes of weighted real rows above which a CP gain streams its rows one
+# per call.  A batched `rfft` costs less time, since numpy runs rows in
+# SIMD pairs and pays its fixed cost per call once, but its buffers and
+# numpy's scratch grow with its rows.  Measured on a 2-core Xeon with
+# numpy 2.4.6: up to rows of 64 KiB (L = 8192) one call over 3 or 4 rows
+# took 13-50% less time than a call per row, at a few hundred KiB of
+# memory; at L = 393216 one call over 3 rows raised the peak RSS by 15.3
+# MB and took 22.0 ms, one call per row raised it by 6.1 MB and took
+# 27.6 ms in all.  256 KiB holds 4 rows of 64 KiB and no full-support row.
 _BATCH_BYTES = 256 << 10
-
-
-def _batch_rows(rows: int, order: int, length: int) -> int:
-    """Fiber rows of a CP gain per transform call: all `rows` if they fit
-    in `_BATCH_BYTES` as float64 rows of `length`, else as many whole
-    ranks of `order` rows as fit, else one row."""
-    fit = _BATCH_BYTES // (8 * length)
-    if fit >= rows:
-        return rows
-    return max(1, fit - fit % order)
 
 
 def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
@@ -432,33 +421,32 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     The kernel's `fibers`, an (r, N) array, are read in place; the state
     covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
     (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.  Pipeline, in a (b, L) array `real`,
-    whose padding columns m..L-1 are zero-filled once, and a complex
-    array `spectra` of L // 2 + 1 bins, both allocated per call: (1)
-    weight the first m columns of b fiber rows by the concentrations in
-    one broadcast product, size i at column i-1; (2) transform them in
-    one call; (3) fold the spectra into the combined spectrum.  A TT gain
-    takes all r rows as one batch and `_tt_fold` chains them in place.  A
-    CP gain takes b = `_batch_rows` rows at a time, and `_cp_stream`
-    folds each batch as it arrives, keeping the running sums in one or
-    two more rows of `spectra`.  At full support on D = 3, N = 2^17 a
-    batch is one 3 MiB row: the process's peak RSS fell from 105.7 to
-    87.6 MB against one call over all 3 rows, and a gain's forward
-    transforms took about 5 ms more (see `_BATCH_BYTES`).
-    (4) inverse-transform the combined spectrum into real row 0; (5)
-    index sum k of d sizes sits at column k - d, so columns 0..top-d
-    give p_d..p_top, times the kernel's scale, with top = min(R, d*m).
-    The largest index sum fills column d(m-1), and L = `fft_length(d, m)`
-    keeps every column alias-free.  Every other entry of p is an exact
-    0.0; so is all of p for an all-zero state, which skips the
-    transforms.  The buffers are fresh per call; `_pin_malloc_thresholds`
-    keeps their pages in the process between calls.
+    above m has a zero product.  Pipeline, in an (r, L) array `real`,
+    whose padding columns m..L-1 are zero-filled once, and an (r, L // 2
+    + 1) array `spectra`, both allocated per call: (1) weight the first m
+    columns of every fiber row by the concentrations in one broadcast
+    product, size i at column i-1; (2) transform all rows in one call;
+    (3) `_tt_fold` or `_cp_fold` combines the spectra in place.  A CP
+    gain whose r real rows take more than `_BATCH_BYTES` streams instead:
+    `_cp_stream` weights, transforms and folds one row per call through
+    a (1, L) `real`.  At full support on D = 3, N = 2^17 a row is 3 MiB:
+    the process's peak RSS fell from 105.7 to 87.6 MB against one call
+    over all 3 rows, and a gain's forward transforms took about 5 ms more
+    (see `_BATCH_BYTES`).  (4) inverse-transform the combined spectrum
+    into real row 0; (5) index sum k of d sizes sits at column k - d, so
+    columns 0..top-d give p_d..p_top, times the kernel's scale, with top
+    = min(R, d*m).  The largest index sum fills column d(m-1), and L =
+    `fft_length(d, m)` keeps every column alias-free.  Every other entry
+    of p is an exact 0.0; so is all of p for an all-zero state, which
+    skips the transforms.  The buffers are fresh per call;
+    `_pin_malloc_thresholds` keeps their pages in the process between
+    calls.
 
-    A row transformed alone, or in any batch, has the bits it has in one
-    call over all rows, and the fold runs the same operations in the same
-    order for every batch size, so the gain's bits do not depend on b.
-    Every step runs in the calling thread, so the output is bitwise the
-    same for every worker count.
+    A row transformed alone has the bits it has in one call over all
+    rows, and `_cp_stream` runs `_cp_fold`'s operations in `_cp_fold`'s
+    order, so both shapes give a CP gain the same bits.  Every step runs
+    in the calling thread, so the output is bitwise the same for every
+    worker count.
     """
     order = _check_pair(kernel, state)
     fibers = kernel.fibers
@@ -471,16 +459,17 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     length = fft_length(order, occupied)
     _pin_malloc_thresholds()
     tt = isinstance(kernel, TTKernel)
-    batch = len(fibers) if tt else _batch_rows(len(fibers), order, length)
-    real = np.empty((batch, length))
+    rows = len(fibers)
+    streamed = not tt and 8 * length * rows > _BATCH_BYTES
+    real = np.empty((1 if streamed else rows, length))
     real[:, occupied:] = 0.0
-    if tt:
-        spectra = np.empty((batch, length // 2 + 1), dtype=np.complex128)
+    if streamed:
+        folded = _cp_stream(fibers, n[:occupied], order, real)
+    else:
+        spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
         np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
         _fft.rfft(real, axis=1, out=spectra)
-        folded = _tt_fold(spectra, kernel.ranks)
-    else:
-        folded = _cp_stream(fibers, n[:occupied], order, real)
+        folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
@@ -568,44 +557,41 @@ def rhs_tt_Q(
 # CP fast paths
 # ---------------------------------------------------------------------------
 
-def _cp_stream(fibers, head, order: int, real):
-    # the combined spectrum of a CP gain: the fiber rows are weighted by
-    # the occupied sizes' concentrations `head` and transformed len(real)
-    # rows at a time through `real`, whose padding columns are zeros, and
-    # folded as they arrive.  Per bin, each rank's d mode spectra
-    # multiply in mode order into a running product, and the ranks add in
-    # order into `total`: the operations, in the same order, of a fold
-    # over one block of all rows, so the bits do not depend on the batch
-    # size.  Rank 0's product forms in `total`, row 0 of `spectra`: the
-    # batch's own first row when one batch holds every row, else a row
-    # kept ahead of the batch's rows.  A batch of several rows holds
-    # whole ranks, so a later rank's product forms in place among them.
-    # A one-row batch sends a rank's first mode spectrum straight to the
-    # row that keeps its product: row 0 for rank 0, row 1 for a later one
-    rows, batch = len(fibers), len(real)
-    occupied = head.size
-    kept = 0 if batch == rows else 1 + (batch == 1 and rows > order)
-    spectra = np.empty((kept + batch, real.shape[1] // 2 + 1), dtype=np.complex128)
+def _cp_fold(spectra, order: int):
+    # per bin, multiply each rank's d mode spectra in mode order into the
+    # rank's first row, and add the ranks in order into row 0
     total = spectra[0]
-    for lo in range(0, rows, batch):
-        # the last batch may be short; slices stop at the last row
-        block = real[: rows - lo]
-        np.multiply(fibers[lo : lo + batch, :occupied], head, out=block[:, :occupied])
-        out = spectra[kept : kept + rows - lo]
-        if batch == 1 and lo % order == 0:
-            out = spectra[:1] if lo == 0 else spectra[1:2]
-        _fft.rfft(block, axis=1, out=out)
-        for row, spec in enumerate(out, start=lo):
-            mode = row % order
-            if mode == 0:
-                product = spec
-            elif row < order:
-                np.multiply(product, spec, out=total)
-                product = total
-            else:
-                np.multiply(product, spec, out=product)
-                if mode == order - 1:
-                    np.add(total, product, out=total)
+    for start in range(0, len(spectra), order):
+        product = spectra[start]
+        for spec in spectra[start + 1 : start + order]:
+            np.multiply(product, spec, out=product)
+        if start:
+            np.add(total, product, out=total)
+    return total
+
+
+def _cp_stream(fibers, head, order: int, real):
+    # `_cp_fold` of a CP gain's spectra, one fiber row per transform: each
+    # row is weighted by the occupied sizes' concentrations `head` into
+    # the (1, L) `real`, whose padding columns are zeros, and folded as it
+    # arrives.  Row 0 of `spectra` holds the total and rank 0's product,
+    # row 1 a later rank's product (none at rank 1), and the last row
+    # receives every mode >= 1
+    rows, occupied = len(fibers), head.size
+    bins = real.shape[1] // 2 + 1
+    spectra = np.empty((2 if rows == order else 3, bins), dtype=np.complex128)
+    total = spectra[0]
+    for row in range(rows):
+        mode = row % order
+        out = spectra[-1:] if mode else spectra[1:2] if row else spectra[:1]
+        np.multiply(fibers[row : row + 1, :occupied], head, out=real[:, :occupied])
+        _fft.rfft(real, axis=1, out=out)
+        if not mode:
+            product = out[0]
+        else:
+            np.multiply(product, out[0], out=product)
+            if mode == order - 1 and row >= order:
+                np.add(total, product, out=total)
     return total
 
 

@@ -317,6 +317,24 @@ def test_verify_brownian_passes(tmp_path, capsys):
     assert "order 3, constructive TT:" in out
 
 
+def test_verify_checks_both_forms_of_a_constant_order(tmp_path, capsys):
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={
+            "2": {"type": "constant", "D": 2, "c": 0.7},
+            "3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]},
+        },
+    )
+    assert cli.main(["verify", "--config", config_path, "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    for d in (2, 3):
+        assert f"order {d}, symmetrized CP:" in out
+        assert f"order {d}, constructive TT:" in out
+
+
 def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
     # five full-support states as before, then one that is zero above
     # N // 4, so the paths trimmed to the occupied sizes are checked too

@@ -152,10 +152,11 @@ def test_build_kernel_set_representations(tmp_path):
 
     config = SimulationConfig(
         n_classes=8,
-        dimension=3,
+        dimension=4,
         kernel_specs={
             2: TableSpec(str(table_path), 2),
             3: BrownianSpec((1 / 3, -1 / 3, 0.0)),
+            4: ConstantSpec(1.5, 4),
         },
         initial=InitialCondition.monodisperse(1.0),
         time=TimeGrid(0.0, 1e-3, 1),
@@ -169,6 +170,12 @@ def test_build_kernel_set_representations(tmp_path):
     sizes = np.arange(1, 9, dtype=np.float64)
     for factor, mu in zip(kernels[3].factors, (1 / 3, -1 / 3, 0.0)):
         np.testing.assert_allclose(factor[:, 0], sizes**mu, rtol=1e-15)
+    # ... and so do constant ones, with factors c/4!, 1, 1, 1
+    assert isinstance(kernels[4], SymmetrizedCPKernel)
+    assert kernels[4].rank == 1
+    np.testing.assert_array_equal(kernels[4].factors[0][:, 0], np.full(8, 1.5 / 24))
+    for factor in kernels[4].factors[1:]:
+        np.testing.assert_array_equal(factor, np.ones((8, 1)))
     # ... while the constructive TT keeps its binomial ranks
     tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 8)
     assert isinstance(tt, TTKernel)

@@ -318,7 +318,7 @@ def test_halving_dt_quarters_the_m0_error():
 def test_single_step_integrate_equals_rk2_step():
     config = ternary_constant_config(n_classes=32, dt=1e-2, steps=1, record_every=1)
     final, series = integrate(config)
-    kernels = KernelSet({3: constant_tt(1.0, 3, 32)})
+    kernels = build_kernel_set(config)
     state0 = config.initial.state(32, 0.0)
     manual = rk2_step(state0, 1e-2, kernels)
     np.testing.assert_array_equal(final.n, manual.n)

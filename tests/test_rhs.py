@@ -23,6 +23,7 @@ from ttagg.kernels import (
     TTKernel,
     brownian_symmetrized_cp,
     build_brownian_tt,
+    constant_symmetrized_cp,
     constant_tt,
     dense_from_cp,
     dense_from_spec,
@@ -387,6 +388,26 @@ def test_symmetrized_brownian_matches_constructive_tt(order):
     tt = build_brownian_tt(spec, n_classes)
     assert rel_inf(rhs_cp_P(sym, state), rhs_tt_P(tt, state)) <= 1e-12
     assert rel_inf(rhs_cp_Q(sym, state), rhs_tt_Q(tt, state)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_constant_symmetrized_cp_matches_the_dense_oracle_and_the_tt(order):
+    # a constant c is the rank-1 symmetrized CP with factors c/d!, 1, ..., 1
+    n_classes, c = 16, 1.75
+    kernel = constant_symmetrized_cp(c, order, n_classes)
+    assert isinstance(kernel, SymmetrizedCPKernel) and kernel.rank == 1
+    dense = dense_from_spec(ConstantSpec(c, order), n_classes)
+    tt = constant_tt(c, order, n_classes)
+    rng = np.random.default_rng(order * 113)
+    narrow = rng.random(n_classes)
+    narrow[n_classes // 4 :] = 0.0
+    for n in (rng.random(n_classes), narrow):
+        state = ConcentrationState(n)
+        p, q = rhs_cp_P(kernel, state), rhs_cp_Q(kernel, state)
+        assert rel_inf(p, rhs_dense_P(dense, state)) <= 1e-12
+        assert rel_inf(q, rhs_dense_Q(dense, state)) <= 1e-12
+        assert rel_inf(p, rhs_tt_P(tt, state)) <= 1e-12
+        assert rel_inf(q, rhs_tt_Q(tt, state)) <= 1e-12
 
 
 def test_kernel_set_accepts_symmetrized_form_at_small_n():
@@ -1006,17 +1027,16 @@ def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank):
 
 
 def test_streamed_cp_gain_cases_cover_every_batch_shape():
-    # the cases above run one batch of all rows, batches of whole ranks,
-    # and one-row batches: the budget falls between their lengths
+    # the cases above run both shapes of a CP gain, one call over all rows
+    # and one row per call: the budget falls between their sizes
     shapes = set()
     for order, rank, which in product((2, 3, 4, 5), (1, 2, 3), _STREAM_STATES):
-        rows = order * rank
         length = ttagg.rhs.fft_length(order, _STREAM_STATES[which][1])
-        batch = ttagg.rhs._batch_rows(rows, order, length)
-        assert 1 <= batch <= rows
-        assert batch in (1, rows) or batch % order == 0
-        shapes.add("all" if batch == rows else "one" if batch == 1 else "ranks")
-    assert shapes == {"all", "ranks", "one"}
+        streamed = 8 * length * order * rank > ttagg.rhs._BATCH_BYTES
+        shapes.add((rank == 1, "streamed" if streamed else "batched"))
+    assert {shape for _, shape in shapes} == {"batched", "streamed"}
+    # the stream keeps 2 spectrum rows at rank 1 and 3 above it
+    assert {(True, "streamed"), (False, "streamed")} <= shapes
 
 
 def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
@@ -1028,7 +1048,7 @@ def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
     sizes = np.arange(1, n_classes + 1)
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
     length = ttagg.rhs.fft_length(order, n_classes)
-    assert ttagg.rhs._batch_rows(order, order, length) == 1
+    assert 8 * length * order > ttagg.rhs._BATCH_BYTES
     peaks = {}
     for rank in (1, 2, 4):
         kernel = _stream_kernel("cp", order, rank, n_classes)
@@ -1094,6 +1114,7 @@ def test_symmetry_probe():
 _NON_FINITE_KERNELS = {
     "dense-nan": lambda: DenseKernel(np.full((8, 8), np.nan)),
     "constant-tt-nan": lambda: constant_tt(np.nan, 3, 8),
+    "constant-symmetrized-cp-nan": lambda: constant_symmetrized_cp(np.nan, 3, 8),
     "cp-inf-factor": lambda: CPKernel((np.ones((8, 1)), np.full((8, 1), np.inf))),
     "symmetrized-cp-nan": lambda: SymmetrizedCPKernel(
         (np.full((8, 1), np.nan), np.ones((8, 1)))
@@ -1117,8 +1138,9 @@ def test_kernel_set_refuses_non_finite_coefficients(make_kernel):
         constant_tt(2.0, 3, 32),
         CPKernel(tuple(np.full((32, 2), 0.5) for _ in range(3))),
         brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), 32),
+        constant_symmetrized_cp(2.0, 3, 32),
     ],
-    ids=["tt", "constant-tt", "cp", "symmetrized-cp"],
+    ids=["tt", "constant-tt", "cp", "symmetrized-cp", "constant-symmetrized-cp"],
 )
 def test_gain_writes_nothing_to_its_kernel(kernel):
     before = dict(vars(kernel))
