@@ -66,6 +66,11 @@ class SimulationConfig:
             raise ConfigError("D must be >= 2")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
+        if self.initial.kind == "vector" and self.initial.values.size != self.n_classes:
+            raise ConfigError(
+                f"vector initial condition has {self.initial.values.size} values, "
+                f"N = {self.n_classes}"
+            )
         try:
             self.execution_plan()  # the plan validates workers and policy
         except KernelError as exc:

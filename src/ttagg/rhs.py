@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import ctypes
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import numpy.fft as _fft
-from scipy.fft import next_fast_len
 
 from .kernels import (
     CPKernel,
@@ -393,14 +393,43 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _five_smooth(limit: int) -> tuple[int, ...]:
+    """The numbers 2^a 3^b 5^c up to `limit`, in ascending order."""
+    values = []
+    fives = 1
+    while fives <= limit:
+        threes = fives
+        while threes <= limit:
+            value = threes
+            while value <= limit:
+                values.append(value)
+                value *= 2
+            threes *= 3
+        fives *= 5
+    return tuple(sorted(values))
+
+
+# Every 5-smooth length up to 2^32, 1,849 of them: one row at the
+# top would take 32 GiB.  Built once, so a length is one bisection.
+_FAST_LENGTHS = _five_smooth(1 << 32)
+
+
 def fft_length(order: int, occupied: int) -> int:
     """Transform length of an order-d gain on a state with occupied size m.
 
     Sizes 1..m sit at columns 0..m-1, so index sums of d sizes fill
     columns 0..d(m-1) and any length of at least d(m-1) + 1 is
-    alias-free; the length is the smallest 5-smooth one at that bound.
+    alias-free; the length is the smallest 5-smooth one at that bound,
+    the length pocketfft's real transforms run fastest at (the same as
+    `scipy.fft.next_fast_len(target, real=True)`).  It is looked up in
+    `_FAST_LENGTHS`; a bound above the table gets its own table, up to
+    the next power of two, which is 5-smooth.
     """
-    return next_fast_len(order * (occupied - 1) + 1, real=True)
+    target = order * (occupied - 1) + 1
+    lengths = _FAST_LENGTHS
+    if target > lengths[-1]:
+        lengths = _five_smooth(1 << (target - 1).bit_length())
+    return lengths[bisect_left(lengths, target)]
 
 
 # Bytes of weighted real rows above which a CP gain streams its rows one

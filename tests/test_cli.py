@@ -92,6 +92,16 @@ def test_simulate_invalid_config_is_validation_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_simulate_wrong_length_initial_vector_writes_nothing(tmp_path, capsys):
+    config_path = write_config(
+        tmp_path, N=8, initial={"kind": "vector", "values": [0.5, 0.25, 0.125]}
+    )
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    # refused when the config loads, before the output directory is made
+    assert not (tmp_path / "out").exists()
+    assert "3 values, N = 8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -435,6 +445,17 @@ def test_simulate_with_oracle_gate(tmp_path, capsys):
     assert "PASS" in out and "simulate:" in out
 
 
+def test_verify_refuses_a_wrong_length_initial_vector(tmp_path, capsys):
+    # 3 values for N = 8: the run could not start, so no PASS either
+    config_path = write_config(
+        tmp_path, N=8, initial={"kind": "vector", "values": [0.5, 0.25, 0.125]}
+    )
+    assert cli.main(["verify", "--config", config_path]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert "3 values, N = 8" in err
+
+
 def test_verify_budget_guard(tmp_path, capsys):
     config_path = write_config(
         tmp_path,
@@ -498,17 +519,49 @@ def test_help_exits_zero(capsys):
 # module entry point
 # ---------------------------------------------------------------------------
 
-def test_module_entry_point_runs(tmp_path):
-    config_path = write_config(tmp_path)
+def run_child(*args):
     # the child imports the same package as this process, however it was found
     src = os.path.dirname(os.path.dirname(ttagg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "ttagg", "simulate", "--config", config_path],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs(tmp_path):
+    config_path = write_config(tmp_path)
+    result = run_child("-m", "ttagg", "simulate", "--config", config_path)
     assert result.returncode == 0
     assert "simulate:" in result.stdout
+
+
+def test_import_and_simulate_load_no_scipy_fft(tmp_path):
+    # scipy.fft alone takes about 25 MB of resident memory; the package
+    # computes its transform lengths itself and runs numpy.fft.  The test
+    # process may have imported scipy.fft (the length parity test does), so
+    # a fresh one is checked.
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    script = (
+        "import json, sys\n"
+        "import ttagg, ttagg.cli\n"
+        f"code = ttagg.cli.main(['simulate', '--config', {config_path!r}])\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m == 'scipy.fft' or m.startswith('scipy.fft.')]\n"
+        "print(json.dumps([code, sorted(loaded)]))\n"
+    )
+    result = run_child("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert "simulate:" in result.stdout
+    code, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "out" / "moments.csv").exists()
 

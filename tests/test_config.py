@@ -88,6 +88,22 @@ def test_config_validation():
         config_from_dict(minimal_dict(initial={"kind": "vector"}))
 
 
+def test_vector_initial_condition_must_have_n_values():
+    for values in ([0.5, 0.25, 0.125], [0.1] * 17):
+        with pytest.raises(ConfigError, match=f"{len(values)} values, N = 16"):
+            config_from_dict(
+                minimal_dict(initial={"kind": "vector", "values": values})
+            )
+    with pytest.raises(ConfigError, match="3 values, N = 8"):
+        SimulationConfig(
+            n_classes=8,
+            dimension=3,
+            kernel_specs={3: BrownianSpec((1 / 3, -1 / 3, 0.0))},
+            initial=InitialCondition.from_vector([0.5, 0.25, 0.125]),
+            time=TimeGrid(0.0, 1e-3, 10),
+        )
+
+
 def test_fft_length_policy_default_and_validation():
     assert config_from_dict(minimal_dict()).fft_length_policy == "fast"
     for policy in ("min", "pow2"):

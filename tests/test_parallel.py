@@ -1,6 +1,7 @@
 """Execution plans, the whole-range seams, and the scaling harness."""
 
 import dataclasses
+import itertools
 import threading
 
 import numpy as np
@@ -27,6 +28,26 @@ def test_execution_plan_validation_and_fft_lengths():
     # the benchmark shapes: D = 3 at N = 2^17, D = 4 at N = 2^15
     assert length(3, 1 << 17) == 3 << 17
     assert length(4, 1 << 15) == 1 << 17
+
+
+def test_fft_length_equals_scipy_next_fast_len():
+    # the library looks its lengths up itself and does not import
+    # scipy.fft; this test may
+    from scipy.fft import next_fast_len
+
+    length = ttagg.rhs.fft_length
+    # at d = 1 the bound d(m-1) + 1 is m, so this covers every target
+    targets = range(1, (1 << 21) + 1)
+    real = itertools.repeat(True)
+    assert [length(1, t) for t in targets] == list(map(next_fast_len, targets, real))
+    for order in (2, 3, 4, 5):
+        for occupied in (2, 3, 1000, 12345, 1 << 15, 1 << 17):
+            target = order * (occupied - 1) + 1
+            assert length(order, occupied) == next_fast_len(target, real=True)
+    # the top of the table, and targets above it
+    top = ttagg.rhs._FAST_LENGTHS[-1]
+    for target in (top - 1, top, top + 1, 10**12 + 7):
+        assert length(1, target) == next_fast_len(target, real=True)
 
 
 def test_execution_plan_axis_toggles():
