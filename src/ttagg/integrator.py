@@ -203,6 +203,11 @@ def rk2_step(
     the bits are those of the same step over all N sizes.  Each new state
     is nonzero only below the reach of the occupied sizes it was built
     from, so its finiteness check and occupied-size scan stop there.
+
+    k1 is formed in stage 1's gain vector, and stage 1's loss vector is
+    dropped before stage 2 runs, so stage 2's right-hand side allocates
+    beside the midpoint state alone: at full support the step's traced
+    peak is one gain's peak plus one state vector.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -220,6 +225,7 @@ def rk2_step(
         # in that order; the new state is written at full length
         res = rhs_total(kernels, head, plan)
         k1 = np.add(res.p, res.q, out=res.p)
+        del res  # frees stage 1's loss vector
         np.multiply(k1, 0.5 * dt, out=k1)
         mid = ConcentrationState._from_head(
             np.add(head.n, k1, out=k1), reach, state.t + 0.5 * dt,

@@ -3,11 +3,12 @@
 An `ExecutionPlan` carries a worker count, and no right-hand side reads
 it: a gain transforms its fiber rows with `numpy.fft`, which has no
 thread option, in the calling thread and in buffers it allocates per
-call (all rows in one call, or one row per call for a CP gain whose rows
-exceed `rhs._BATCH_BYTES`), and a loss takes its two
-matrix-vector products in the calling thread too.  Every worker count
-therefore gives the same bits and, up to noise, the same time as one
-worker: the acceptance suite's scaling problem (D = 3, N = 2^17, timed
+call (all rows in one call, or, for a CP gain whose rows exceed
+`rhs._BATCH_BYTES`, one m-column row per call that `rfft` pads itself,
+with the inverse written into a spent spectrum row), and a loss takes
+its two matrix-vector products in the calling thread too.  Every worker
+count therefore gives the same bits and, up to noise, the same time as
+one worker: the acceptance suite's scaling problem (D = 3, N = 2^17, timed
 by `run_scaling_benchmark` below) ran 0.90-1.12x at 4 workers against 1
 in four runs on a 2-core Xeon.  The count is still accepted because the
 CLI, the config and the benchmark harness pass it.

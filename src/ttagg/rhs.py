@@ -7,11 +7,13 @@ kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
 O(m**d) and serve as ground truth; the tensor-train and CP paths push
 the gain through one shared FFT scaffold (`_fft_gain`: the kernel's own
 fiber rows, weighted with size i stored at slot i-1 and zero-padded to
-an alias-free length of at least d(m-1) + 1, in buffers allocated per
+an alias-free length L of at least d(m-1) + 1, in buffers allocated per
 call; a gain transforms all its rows in one call, except a CP gain
-whose real rows exceed `_BATCH_BYTES`, which streams them one row per
-call, as at full support) and the loss through two matrix-vector
-products with the same fiber rows, for O(m log m) work per rank pair.
+whose real rows exceed `_BATCH_BYTES`, as at full support, which
+streams them one m-column row per call, lets `rfft` pad each row to L,
+and inverts into a spent spectrum row, so it holds no real row of
+length L) and the loss through two matrix-vector products with the
+same fiber rows, for O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
@@ -371,17 +373,18 @@ def _pin_malloc_thresholds() -> None:
     mapping and unmaps it on free, and trims the heap top above twice that
     threshold; both adapt to the largest block freed so far, so they stay
     near the size of pocketfft's per-row scratch (3 MB at full support).
-    A gain's per-call buffers (at full support one real row and two
-    spectrum rows of 3 MiB each, see `_fft_gain`), that scratch and the
-    step's 1 MB vectors then go back to the kernel after every call and
-    are faulted back in on the next.  On the D = 3, N = 2^17 full-support
-    problem (`resource.getrusage`, 2-core Xeon, glibc 2.36) a warm 2-step
-    solution took 8,583 minor faults with default thresholds (18,827
-    when a gain transformed all its rows in one call), and 0 with these
-    fixed thresholds of 32 MiB (mmap) and 256 MiB (trim): freed blocks
-    are reused from the heap, so no gain needs buffers kept between
-    calls.  Other C libraries have no `mallopt`, and there this does
-    nothing.
+    A gain's per-call buffers (at full support two spectrum rows of
+    3 MiB each and a 1 MiB weighted row, see `_fft_gain`), that scratch
+    and the step's 1 MB vectors then go back to the kernel after every
+    call and are faulted back in on the next.  On the D = 3, N = 2^17
+    full-support problem (`resource.getrusage`, 2-core Xeon, glibc 2.36)
+    a warm 2-step solution took 7,076 minor faults with default
+    thresholds (8,582-9,094 when the stream also held a 3 MiB real row,
+    18,827 when a gain transformed all its rows in one call), and 0 with
+    these fixed thresholds of 32 MiB (mmap) and 256 MiB (trim): freed
+    blocks are reused from the heap, so no gain needs buffers kept
+    between calls.  Other C libraries have no `mallopt`, and there this
+    does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -455,55 +458,61 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     + 1) array `spectra`, both allocated per call: (1) weight the first m
     columns of every fiber row by the concentrations in one broadcast
     product, size i at column i-1; (2) transform all rows in one call;
-    (3) `_tt_fold` or `_cp_fold` combines the spectra in place.  A CP
-    gain whose r real rows take more than `_BATCH_BYTES` streams instead:
-    `_cp_stream` weights, transforms and folds one row per call through
-    a (1, L) `real`.  At full support on D = 3, N = 2^17 a row is 3 MiB:
-    the process's peak RSS fell from 105.7 to 87.6 MB against one call
-    over all 3 rows, and a gain's forward transforms took about 5 ms more
-    (see `_BATCH_BYTES`).  (4) inverse-transform the combined spectrum
-    into real row 0; (5) index sum k of d sizes sits at column k - d, so
-    columns 0..top-d give p_d..p_top, times the kernel's scale, with top
-    = min(R, d*m).  The largest index sum fills column d(m-1), and L =
-    `fft_length(d, m)` keeps every column alias-free.  Every other entry
-    of p is an exact 0.0; so is all of p for an all-zero state, which
-    skips the transforms.  The buffers are fresh per call;
-    `_pin_malloc_thresholds` keeps their pages in the process between
-    calls.
+    (3) `_tt_fold` or `_cp_fold` combines the spectra in place; (4)
+    inverse-transform the combined spectrum into real row 0.
 
-    A row transformed alone has the bits it has in one call over all
-    rows, and `_cp_stream` runs `_cp_fold`'s operations in `_cp_fold`'s
-    order, so both shapes give a CP gain the same bits.  Every step runs
-    in the calling thread, so the output is bitwise the same for every
-    worker count.
+    A CP gain whose r real rows of length L take more than `_BATCH_BYTES`
+    streams instead, and keeps no real row of length L: `_cp_stream`
+    weights each fiber row into one (1, m) row, which `rfft` pads to L
+    itself, and folds the spectra one row per call; (4) then writes the
+    inverse into the bytes of a spectrum row that the fold has spent.
+    At full support on D = 3, N = 2^17 (L = 393216) a spectrum row is
+    3 MiB and the weighted row 1 MiB.
+
+    (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
+    give p_d..p_top, times the kernel's scale, with top = min(R, d*m); p
+    is allocated after the transforms, so it never coexists with the
+    weighted rows of a stream.  The largest index sum fills column
+    d(m-1), and L = `fft_length(d, m)` keeps every column alias-free.
+    Every other entry of p is an exact 0.0; so is all of p for an
+    all-zero state, which skips the transforms.  The buffers are fresh
+    per call; `_pin_malloc_thresholds` keeps their pages in the process
+    between calls.
+
+    `rfft` pads a short row with zeros before it transforms, so a row
+    padded there has the bits of a row padded here; a row transformed
+    alone has the bits it has in one call over all rows, and `_cp_stream`
+    runs `_cp_fold`'s operations in `_cp_fold`'s order, so both shapes
+    give a CP gain the same bits.  Every step runs in the calling thread,
+    so the output is bitwise the same for every worker count.
     """
     order = _check_pair(kernel, state)
     fibers = kernel.fibers
     n = state.n
     occupied = state.occupied_size
     top = min(n.size, order * occupied)
-    p = np.zeros(n.size)
     if top < order:
-        return p
+        return np.zeros(n.size)
     length = fft_length(order, occupied)
     _pin_malloc_thresholds()
     tt = isinstance(kernel, TTKernel)
     rows = len(fibers)
-    streamed = not tt and 8 * length * rows > _BATCH_BYTES
-    real = np.empty((1 if streamed else rows, length))
-    real[:, occupied:] = 0.0
-    if streamed:
-        folded = _cp_stream(fibers, n[:occupied], order, real)
+    if not tt and 8 * length * rows > _BATCH_BYTES:
+        folded, spent = _cp_stream(fibers, n[:occupied], order, length)
+        coeffs = spent.view(np.float64)[:length]
     else:
+        real = np.empty((rows, length))
+        real[:, occupied:] = 0.0
         spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
         np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
         _fft.rfft(real, axis=1, out=spectra)
         folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
+        coeffs = real[0]
+    _fft.irfft(folded, n=length, out=coeffs)
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
-    coeffs = real[0]
-    _fft.irfft(folded, n=length, out=coeffs)
+    p = np.zeros(n.size)
     np.multiply(coeffs[: top - order + 1], scale, out=p[order - 1 : top])
     return p
 
@@ -599,29 +608,37 @@ def _cp_fold(spectra, order: int):
     return total
 
 
-def _cp_stream(fibers, head, order: int, real):
-    # `_cp_fold` of a CP gain's spectra, one fiber row per transform: each
-    # row is weighted by the occupied sizes' concentrations `head` into
-    # the (1, L) `real`, whose padding columns are zeros, and folded as it
-    # arrives.  Row 0 of `spectra` holds the total and rank 0's product,
-    # row 1 a later rank's product (none at rank 1), and the last row
-    # receives every mode >= 1
+def _cp_stream(fibers, head, order: int, length: int):
+    """`_cp_fold` of a CP gain's spectra, one fiber row per transform of
+    length `length`: the folded total, and a spectrum row the fold has
+    spent, whose bytes the caller may reuse.
+
+    Each row is weighted by the occupied sizes' concentrations `head`
+    into one (1, m) row, which `rfft` zero-pads to `length`, and is
+    folded as its spectrum arrives.  The last row of `spectra` holds the
+    total (first rank 0's product), row 1 a later rank's product (absent
+    at rank 1), and row 0 receives every mode >= 1 and is the spent row.
+    Row 0 lies below the total, so an inverse written there lands below
+    its input; written 3 MiB + 16 bytes above its input instead (full
+    support, D = 3, N = 2^17, 2-core Xeon), an `irfft` took 0.7-1.0 ms
+    longer, of 8-10 ms.
+    """
     rows, occupied = len(fibers), head.size
-    bins = real.shape[1] // 2 + 1
-    spectra = np.empty((2 if rows == order else 3, bins), dtype=np.complex128)
-    total = spectra[0]
+    spectra = np.empty((2 if rows == order else 3, length // 2 + 1), dtype=np.complex128)
+    weighted = np.empty((1, occupied))
+    total = spectra[-1]
     for row in range(rows):
         mode = row % order
-        out = spectra[-1:] if mode else spectra[1:2] if row else spectra[:1]
-        np.multiply(fibers[row : row + 1, :occupied], head, out=real[:, :occupied])
-        _fft.rfft(real, axis=1, out=out)
+        out = spectra[:1] if mode else spectra[1:2] if row else spectra[-1:]
+        np.multiply(fibers[row : row + 1, :occupied], head, out=weighted)
+        _fft.rfft(weighted, n=length, axis=1, out=out)
         if not mode:
             product = out[0]
         else:
             np.multiply(product, out[0], out=product)
             if mode == order - 1 and row >= order:
                 np.add(total, product, out=total)
-    return total
+    return total, spectra[0]
 
 
 def rhs_cp_P(

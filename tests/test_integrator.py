@@ -25,7 +25,13 @@ from ttagg.kernels import (
     constant_tt,
     dense_from_spec,
 )
-from ttagg.rhs import ConcentrationState, KernelSet, _last_nonzero_size, rhs_total
+from ttagg.rhs import (
+    ConcentrationState,
+    KernelSet,
+    _last_nonzero_size,
+    rhs_cp_P,
+    rhs_total,
+)
 
 
 def ternary_constant_config(n_classes=256, dt=1e-3, steps=1000, record_every=100):
@@ -232,6 +238,31 @@ def test_warm_narrow_step_allocates_one_length_n_vector(case):
         tracemalloc.stop()
     assert stepped.n.nbytes == n_classes * 8
     assert peak < 2 * n_classes * 8
+
+
+def test_full_support_step_frees_stage_one_loss_before_stage_two():
+    # stage 1's loss vector is freed once k1 is formed, so while stage 2's
+    # gain runs the step holds only the midpoint state besides it
+    n_classes = 1 << 14
+    kernel = brownian_symmetrized_cp(BROWNIAN_3, n_classes)
+    kernels = KernelSet({3: kernel})
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    assert kernels.reach(state.occupied_size) == n_classes
+
+    def warm_traced_peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    gain = warm_traced_peak(lambda: rhs_cp_P(kernel, state))
+    step = warm_traced_peak(lambda: rk2_step(state, 1e-3, kernels))
+    assert step <= gain + n_classes * 8 + 4096, (step, gain)
 
 
 def test_steps_from_an_empty_state_stay_empty():

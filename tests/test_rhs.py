@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -1063,6 +1064,70 @@ def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
     row = (length // 2 + 1) * 16
     assert abs(peaks[4] - peaks[2]) <= 4096, peaks
     assert peaks[4] - peaks[1] <= row + 4096, peaks
+
+
+def test_streamed_gain_holds_no_real_row_of_transform_length():
+    # `rfft` pads the weighted row of the m occupied sizes to L itself,
+    # and the inverse lands in the spent spectrum row, so a warm rank-1
+    # gain holds two spectrum rows, one m-column row and p; a zero-padded
+    # (1, L) real row would add (L - m) * 8, about 2 * m * 8 bytes
+    n_classes, order = 1 << 14, 3
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    kernel = _stream_kernel("cp", order, 1, n_classes)
+    length = ttagg.rhs.fft_length(order, n_classes)
+    assert 8 * length * order > ttagg.rhs._BATCH_BYTES
+    rhs_cp_P(kernel, state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rhs_cp_P(kernel, state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    spectrum_row = (length // 2 + 1) * 16
+    weighted_row = p = n_classes * 8
+    assert peak <= 2 * spectrum_row + weighted_row + p + 4096, peak
+
+
+def _convolved_cp_gain(kernel, state):
+    """A CP or symmetrized CP gain with no FFT: per rank, a chain of
+    `np.convolve` over its d weighted fiber rows, summed over ranks."""
+    d = kernel.dimension
+    occupied = state.occupied_size
+    weighted = kernel.fibers[:, :occupied] * state.n[:occupied]
+    total = sum(
+        reduce(np.convolve, weighted[start : start + d])
+        for start in range(0, len(weighted), d)
+    )
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
+    top = min(state.n_classes, d * occupied)
+    p = np.zeros(state.n_classes)
+    p[d - 1 : top] = total[: top - d + 1] * scale
+    return p
+
+
+@pytest.mark.parametrize(
+    "make_kernel",
+    [
+        lambda n: brownian_symmetrized_cp(BrownianSpec((1 / 3, -1 / 3, 0.0)), n),
+        lambda n: brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n),
+        lambda n: _stream_kernel("cp", 3, 2, n),
+        lambda n: _stream_kernel("cp", 4, 2, n),
+    ],
+    ids=["symmetrized-cp-d3", "symmetrized-cp-d4", "cp-rank2-d3", "cp-rank2-d4"],
+)
+def test_streamed_gain_matches_direct_convolution(make_kernel):
+    # at full support N = 8192 every gain here streams its rows
+    n_classes = 8192
+    kernel = make_kernel(n_classes)
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    length = ttagg.rhs.fft_length(kernel.dimension, n_classes)
+    assert 8 * length * len(kernel.fibers) > ttagg.rhs._BATCH_BYTES
+    expected = _convolved_cp_gain(kernel, state)
+    error = np.max(np.abs(rhs_cp_P(kernel, state) - expected))
+    assert error <= 1e-12 * np.max(np.abs(expected)), error
 
 
 # ---------------------------------------------------------------------------
