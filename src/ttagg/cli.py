@@ -13,6 +13,7 @@ import json
 import os
 import platform
 import sys
+from functools import reduce
 
 import numpy as np
 import scipy
@@ -25,7 +26,9 @@ from .kernels import (
     BrownianSpec,
     DenseKernel,
     KernelError,
+    brownian_symmetrized_cp,
     build_brownian_tt,
+    constant_symmetrized_cp,
     constant_tt,
     dense_from_spec,
 )
@@ -33,9 +36,11 @@ from .parallel import run_scaling_benchmark
 from .rhs import (
     FFT_BACKEND,
     ConcentrationState,
+    rhs_cp_P,
     rhs_dense_P,
     rhs_dense_Q,
     rhs_gain_loss,
+    stream_lengths,
 )
 
 EXIT_OK = 0
@@ -120,7 +125,13 @@ def _run_verification(config, seed: int | None = None) -> int:
     time does not use, is checked too.  One line per order and form.
 
     Five states occupy every size; a sixth is zero above max(1, N // 4),
-    so the paths trimmed to the occupied sizes are checked too."""
+    so the paths trimmed to the occupied sizes are checked too.
+
+    The dense oracle fits only small N, where every gain transforms its
+    rows in one call; so each analytic order also runs its symmetrized CP
+    gain at `_stream_check_size`, where it streams its rows through the
+    split, on one random full-support state, against a chain of
+    `np.convolve`, which uses no FFT (one more line per order)."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -144,10 +155,13 @@ def _run_verification(config, seed: int | None = None) -> int:
         if isinstance(fast, DenseKernel):
             print(f"order {d}: dense kernel, nothing to verify")
             continue
+        size = _stream_check_size(d)
         if isinstance(spec, BrownianSpec):
             tt = build_brownian_tt(spec, config.n_classes)
+            streamed = brownian_symmetrized_cp(spec, size)
         else:
             tt = constant_tt(spec.value, d, config.n_classes)
+            streamed = constant_symmetrized_cp(spec.value, d, size)
         candidates = [("symmetrized CP", fast), ("constructive TT", tt)]
         oracle = dense_from_spec(spec, config.n_classes)
         refs = [(rhs_dense_P(oracle, s), rhs_dense_Q(oracle, s)) for s in states]
@@ -162,6 +176,13 @@ def _run_verification(config, seed: int | None = None) -> int:
                 f"order {d}, {name}: max relative error "
                 f"P = {err_p:.3e}, Q = {err_q:.3e}"
             )
+        wide = ConcentrationState(rng.random(size))
+        err = _rel_inf(rhs_cp_P(streamed, wide), _convolved_gain(streamed, wide))
+        worst = max(worst, err)
+        print(
+            f"order {d}, symmetrized CP streamed at N = {size}: max relative "
+            f"error P = {err:.3e} against direct convolution"
+        )
     if worst <= VERIFY_TOL:
         print(f"verify: PASS (all errors <= {VERIFY_TOL:.1e})")
         return EXIT_OK
@@ -175,6 +196,32 @@ def cmd_verify(config_path: str, seed: int | None = None,
     if workers is not None:
         config = dataclasses.replace(config, workers=workers)
     return _run_verification(config, seed)
+
+
+def _stream_check_size(order: int) -> int:
+    # the smallest N = 8192 + 1024 j at which a rank-1 gain of this order
+    # streams its rows at full support, through its split for d >= 3
+    # (`rhs.stream_lengths`): N = 9216 for d = 2 and 8192 for d = 3..5
+    size = 1 << 13
+    while stream_lengths(order, order, size) is None:
+        size += 1 << 10
+    return size
+
+
+def _convolved_gain(kernel, state: ConcentrationState) -> np.ndarray:
+    # a symmetrized CP gain with no FFT: per rank, a chain of `np.convolve`
+    # over its d weighted fiber rows, summed over the ranks
+    d = kernel.dimension
+    occupied = state.occupied_size
+    weighted = kernel.fibers[:, :occupied] * state.n[:occupied]
+    total = sum(
+        reduce(np.convolve, weighted[start : start + d])
+        for start in range(0, len(weighted), d)
+    )
+    top = min(state.n_classes, d * occupied)
+    p = np.zeros(state.n_classes)
+    p[d - 1 : top] = total[: top - d + 1]
+    return p
 
 
 def _rel_inf(got: np.ndarray, ref: np.ndarray) -> float:

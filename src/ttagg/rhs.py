@@ -10,10 +10,11 @@ fiber rows, weighted with size i stored at slot i-1 and zero-padded to
 an alias-free length L of at least d(m-1) + 1, in buffers allocated per
 call; a gain transforms all its rows in one call, except a CP gain
 whose real rows exceed `_BATCH_BYTES`, as at full support, which
-streams them one m-column row per call, lets `rfft` pad each row to L,
-and inverts into a spent spectrum row, so it holds no real row of
-length L) and the loss through two matrix-vector products with the
-same fiber rows, for O(m log m) work per rank pair.
+streams them one m-column row at a time, splits a long transform into
+transforms of length M ~ m (radix q, L = q*M), and inverts into a
+spent spectrum row, so it holds no real row of length L) and the loss
+through two matrix-vector products with the same fiber rows, for
+O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
@@ -32,6 +33,7 @@ rank.
 
 from __future__ import annotations
 
+import cmath
 import ctypes
 import math
 from bisect import bisect_left
@@ -73,6 +75,12 @@ __all__ = [
 # The FFT binding whose bits the gains carry, for the run manifest; read
 # once here, because a tracer may replace `_fft` while a run is written.
 FFT_BACKEND = _fft.__name__
+
+# The complex transforms of a streamed gain's split, bound apart from
+# `_fft`: a tracer that replaces `_fft` with its real transforms only
+# leaves these in place.
+_fft_c2c = _fft.fft
+_ifft_c2c = _fft.ifft
 
 # Largest sampled relative violation a KernelSet accepts as symmetric.
 _SYMMETRY_TOL = 1e-8
@@ -372,19 +380,21 @@ def _pin_malloc_thresholds() -> None:
     By default glibc serves a block above its mmap threshold with a fresh
     mapping and unmaps it on free, and trims the heap top above twice that
     threshold; both adapt to the largest block freed so far, so they stay
-    near the size of pocketfft's per-row scratch (3 MB at full support).
-    A gain's per-call buffers (at full support two spectrum rows of
-    3 MiB each and a 1 MiB weighted row, see `_fft_gain`), that scratch
-    and the step's 1 MB vectors then go back to the kernel after every
-    call and are faulted back in on the next.  On the D = 3, N = 2^17
-    full-support problem (`resource.getrusage`, 2-core Xeon, glibc 2.36)
-    a warm 2-step solution took 7,076 minor faults with default
-    thresholds (8,582-9,094 when the stream also held a 3 MiB real row,
+    near the size of pocketfft's per-row scratch (3 MB for a transform
+    of length 393216).  A gain's per-call buffers (at full support two
+    spectrum rows of 3 MiB each and a 1 MiB weighted row, see
+    `_fft_gain`), that scratch and the step's 1 MB vectors then go back
+    to the kernel after every call and are faulted back in on the next.
+    On the D = 3, N = 2^17 full-support problem (`resource.getrusage`,
+    2-core Xeon, glibc 2.36) a warm 2-step solution took 6,533-7,555
+    minor faults with default thresholds while its gains transformed at
+    L = 393216 (8,582-9,094 when the stream also held a 3 MiB real row,
     18,827 when a gain transformed all its rows in one call), and 0 with
     these fixed thresholds of 32 MiB (mmap) and 256 MiB (trim): freed
     blocks are reused from the heap, so no gain needs buffers kept
-    between calls.  Other C libraries have no `mallopt`, and there this
-    does nothing.
+    between calls.  Its split gains, whose transforms have length
+    2^17, took 0 with either.  Other C libraries have no `mallopt`, and
+    there this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -417,6 +427,15 @@ def _five_smooth(limit: int) -> tuple[int, ...]:
 _FAST_LENGTHS = _five_smooth(1 << 32)
 
 
+def _fast_length(target: int) -> int:
+    # the smallest 5-smooth number >= target, from `_FAST_LENGTHS` or, above
+    # its top, from a table up to the next power of two, which is 5-smooth
+    lengths = _FAST_LENGTHS
+    if target > lengths[-1]:
+        lengths = _five_smooth(1 << (target - 1).bit_length())
+    return lengths[bisect_left(lengths, target)]
+
+
 def fft_length(order: int, occupied: int) -> int:
     """Transform length of an order-d gain on a state with occupied size m.
 
@@ -428,11 +447,20 @@ def fft_length(order: int, occupied: int) -> int:
     `_FAST_LENGTHS`; a bound above the table gets its own table, up to
     the next power of two, which is 5-smooth.
     """
-    target = order * (occupied - 1) + 1
-    lengths = _FAST_LENGTHS
-    if target > lengths[-1]:
-        lengths = _five_smooth(1 << (target - 1).bit_length())
-    return lengths[bisect_left(lengths, target)]
+    return _fast_length(order * (occupied - 1) + 1)
+
+
+def split_lengths(order: int, occupied: int) -> tuple[int, int]:
+    """Radix q and block length M of a streamed order-d gain on a state
+    with occupied size m: it transforms at length L = q * M.
+
+    q is d for odd d and d - 1 for even d, so q is odd, and M is the
+    smallest 5-smooth length with q * M >= d(m-1) + 1, which keeps L
+    alias-free and gives M >= m.  At q = 1 (d = 2) this is
+    (1, `fft_length(2, m)`).  See `_cp_stream` for the split.
+    """
+    radix = order if order % 2 else order - 1
+    return radix, _fast_length(-(-(order * (occupied - 1) + 1) // radix))
 
 
 # Bytes of weighted real rows above which a CP gain streams its rows one
@@ -445,6 +473,19 @@ def fft_length(order: int, occupied: int) -> int:
 # MB and took 22.0 ms, one call per row raised it by 6.1 MB and took
 # 27.6 ms in all.  256 KiB holds 4 rows of 64 KiB and no full-support row.
 _BATCH_BYTES = 256 << 10
+
+def stream_lengths(order: int, rows: int, occupied: int) -> tuple[int, int] | None:
+    """(q, M) of an order-d CP gain with `rows` fiber rows on a state with
+    occupied size m that streams its rows, or None for one that
+    transforms them in one call at L = `fft_length(d, m)`.
+
+    A gain streams when its real rows of length L take more than
+    `_BATCH_BYTES`, and then splits its transform by `split_lengths`
+    (q = 1 and M = L at d = 2).
+    """
+    if 8 * fft_length(order, occupied) * rows <= _BATCH_BYTES:
+        return None
+    return split_lengths(order, occupied)
 
 
 def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
@@ -462,29 +503,33 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     inverse-transform the combined spectrum into real row 0.
 
     A CP gain whose r real rows of length L take more than `_BATCH_BYTES`
-    streams instead, and keeps no real row of length L: `_cp_stream`
-    weights each fiber row into one (1, m) row, which `rfft` pads to L
-    itself, and folds the spectra one row per call; (4) then writes the
-    inverse into the bytes of a spectrum row that the fold has spent.
-    At full support on D = 3, N = 2^17 (L = 393216) a spectrum row is
-    3 MiB and the weighted row 1 MiB.
+    streams instead (`stream_lengths`), and keeps no real row of length
+    L: `_cp_stream` weights each fiber row into one (1, m) row and
+    transforms it at length q*M, from one real and (q-1)/2 complex
+    transforms of length M ~ m (a radix-q split, `split_lengths`; at
+    d = 2, q = 1 and M = L), and folds the spectra one row at a time;
+    `_split_inverse` then inverts the total from transforms of length M
+    too, into the bytes of a spectrum row that the fold has spent, and
+    the total's own.  At full support on D = 3, N = 2^17, q = 3 and
+    M = 2^17: a spectrum row is 3 MiB and the weighted row 1 MiB.
 
     (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
     give p_d..p_top, times the kernel's scale, with top = min(R, d*m); p
     is allocated after the transforms, so it never coexists with the
     weighted rows of a stream.  The largest index sum fills column
-    d(m-1), and L = `fft_length(d, m)` keeps every column alias-free.
-    Every other entry of p is an exact 0.0; so is all of p for an
-    all-zero state, which skips the transforms.  The buffers are fresh
-    per call; `_pin_malloc_thresholds` keeps their pages in the process
-    between calls.
+    d(m-1), and both L = `fft_length(d, m)` and the stream's q*M keep
+    every column alias-free.  Every other entry of p is an exact 0.0; so
+    is all of p for an all-zero state, which skips the transforms.  The
+    buffers are fresh per call; `_pin_malloc_thresholds` keeps their
+    pages in the process between calls.
 
-    `rfft` pads a short row with zeros before it transforms, so a row
-    padded there has the bits of a row padded here; a row transformed
-    alone has the bits it has in one call over all rows, and `_cp_stream`
-    runs `_cp_fold`'s operations in `_cp_fold`'s order, so both shapes
-    give a CP gain the same bits.  Every step runs in the calling thread,
-    so the output is bitwise the same for every worker count.
+    A split gain's bits differ from the batched shape's by roundoff: it
+    transforms at q*M with twiddles of its own, not at L in one `rfft`.
+    At q = 1 (every d = 2) a streamed gain has the batched bits: a row
+    transformed alone has the bits it has in one call over all rows, and
+    `_cp_stream` runs `_cp_fold`'s operations in `_cp_fold`'s order.
+    Every step runs in the calling thread, so the output is bitwise the
+    same for every worker count.
     """
     order = _check_pair(kernel, state)
     fibers = kernel.fibers
@@ -493,28 +538,106 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     top = min(n.size, order * occupied)
     if top < order:
         return np.zeros(n.size)
-    length = fft_length(order, occupied)
     _pin_malloc_thresholds()
     tt = isinstance(kernel, TTKernel)
     rows = len(fibers)
-    if not tt and 8 * length * rows > _BATCH_BYTES:
-        folded, spent = _cp_stream(fibers, n[:occupied], order, length)
-        coeffs = spent.view(np.float64)[:length]
-    else:
-        real = np.empty((rows, length))
-        real[:, occupied:] = 0.0
-        spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
-        np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
-        _fft.rfft(real, axis=1, out=spectra)
-        folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
-        coeffs = real[0]
-    _fft.irfft(folded, n=length, out=coeffs)
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
+    stream = None if tt else stream_lengths(order, rows, occupied)
+    if stream:
+        radix, block = stream
+        folded, spent = _cp_stream(fibers, n[:occupied], order, radix, block)
+        p = np.zeros(n.size)
+        _split_inverse(folded, spent, radix, block, scale, p[order - 1 : top])
+        return p
+    length = fft_length(order, occupied)
+    real = np.empty((rows, length))
+    real[:, occupied:] = 0.0
+    spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
+    np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
+    _fft.rfft(real, axis=1, out=spectra)
+    folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
+    _fft.irfft(folded, n=length, out=real[0])
     p = np.zeros(n.size)
-    np.multiply(coeffs[: top - order + 1], scale, out=p[order - 1 : top])
+    np.multiply(real[0, : top - order + 1], scale, out=p[order - 1 : top])
     return p
+
+
+def _twiddles(count: int, shift: int, length: int, sign: float, factor: float = 1.0):
+    """Tables (fine, coarse) of the twiddles factor * exp(sign * 2 pi i *
+    shift * n / length), n < count: with w = len(fine), the twiddle of n
+    is fine[n % w] * coarse[n // w], so a row's twiddles are never held
+    at its length.  Phases are reduced modulo `length` in integers."""
+    width = max(1, math.isqrt(count))
+    turn = sign * 2j * math.pi / length
+    fine = np.exp(turn * (shift * np.arange(width) % length))
+    coarse = np.exp(turn * (shift * width * np.arange(-(-count // width)) % length))
+    coarse *= factor
+    return fine, coarse
+
+
+def _twist(src, dst, tables) -> None:
+    """dst[n] = src[n] times its twiddle from `_twiddles` `tables`, for
+    n < src.size; `src` may be `dst`.
+
+    The two broadcast products run with ufunc buffers of 512 items: at
+    numpy's default of 8192 they buffer 128-256 KiB, and at M = 2^17
+    (2-core Xeon) took 0.35-0.50 ms against 0.23-0.33 ms.
+    """
+    fine, coarse = tables
+    count, width = src.size, fine.size
+    whole = count - count % width
+    blocks = dst[:whole].reshape(-1, width)
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(512)
+        np.multiply(src[:whole].reshape(-1, width), fine, out=blocks)
+        np.multiply(blocks, coarse[: len(blocks), None], out=blocks)
+    if whole < count:
+        np.multiply(src[whole:], fine[: count - whole] * coarse[len(blocks)], out=dst[whole:count])
+
+
+def _split_inverse(total, spent, radix: int, block: int, scale: float, out) -> None:
+    """Write `scale` times the first `out.size` values of the inverse
+    transform of length L = radix * block of `total`, a half spectrum in
+    `_cp_stream`'s bin order, into `out`; `total` is overwritten, and
+    `spent`, a spectrum row whose values are no longer needed, receives
+    the real block transform.
+
+    With y[n] = (1/L) sum_j Y[j] exp(2 pi i j n / L) and n = t*M + r,
+    the bins j = q*k + s give y[n] = (a[r] + sum_s 2 Re(exp(2 pi i s n /
+    L) c_s[r])) / q, where a is `irfft` of the bins q*k and c_s `ifft` of
+    the bins q*k + s, both of length M, s = 1..(q-1)/2: the bins of
+    s > q/2 are the conjugates of those of q - s.  a lands in the first
+    M floats of `spent` and each c_s in place of its bins; at full
+    support (D = 3, N = 2^17, 2-core Xeon) an `ifft` of length M took
+    2.5-2.6 ms in place and 3.2-4.1 ms into another row.  At q = 1, y is
+    `irfft` of length M, the inverse of the batched path.
+    """
+    length = radix * block
+    half = block // 2 + 1
+    count = out.size
+    real = spent.view(np.float64)[:block]
+    _fft.irfft(total[:half], n=block, out=real)
+    parts = []
+    for shift in range(1, (radix + 1) // 2):
+        start = half + (shift - 1) * block
+        part = total[start : start + block]
+        _ifft_c2c(part, out=part)
+        part = part[: min(block, count)]
+        _twist(part, part, _twiddles(part.size, shift, length, 1.0, 2.0))
+        parts.append(part)
+    for start in range(0, count, block):
+        dest = out[start : start + block]
+        width = dest.size
+        acc = real[:width]
+        for shift, part in enumerate(parts, 1):
+            if start:
+                # the next block of n turns the phase by exp(2 pi i s / q)
+                np.multiply(part[:width], cmath.exp(2j * math.pi * shift / radix), out=part[:width])
+            np.add(acc, part[:width].real, out=dest)
+            acc = dest
+        np.multiply(acc, scale / radix, out=dest)
 
 
 # ---------------------------------------------------------------------------
@@ -608,30 +731,52 @@ def _cp_fold(spectra, order: int):
     return total
 
 
-def _cp_stream(fibers, head, order: int, length: int):
-    """`_cp_fold` of a CP gain's spectra, one fiber row per transform of
-    length `length`: the folded total, and a spectrum row the fold has
-    spent, whose bytes the caller may reuse.
+def _cp_stream(fibers, head, order: int, radix: int, block: int):
+    """`_cp_fold` of a CP gain's half spectra of length L = radix * block
+    (`split_lengths`), one fiber row at a time: the folded total, and a
+    spectrum row the fold has spent, whose bytes the caller may reuse.
 
     Each row is weighted by the occupied sizes' concentrations `head`
-    into one (1, m) row, which `rfft` zero-pads to `length`, and is
-    folded as its spectrum arrives.  The last row of `spectra` holds the
-    total (first rank 0's product), row 1 a later rank's product (absent
-    at rank 1), and row 0 receives every mode >= 1 and is the spent row.
-    Row 0 lies below the total, so an inverse written there lands below
-    its input; written 3 MiB + 16 bytes above its input instead (full
-    support, D = 3, N = 2^17, 2-core Xeon), an `irfft` took 0.7-1.0 ms
-    longer, of 8-10 ms.
+    into one (1, m) row x, m <= M = block, and transformed by a first
+    decimation-in-frequency step of radix q = radix: the bins X[q*k] are
+    `rfft(x, n=M)`, k = 0..M//2, and the bins X[q*k + s], k = 0..M-1,
+    are the complex `fft` of length M of x[n] exp(-2 pi i s n / L), for
+    s = 1..(q-1)/2, taken in place in the spectrum row.  The bins of
+    s > q/2 mirror those of q - s as conjugates and are never formed, so
+    a row holds the L // 2 + 1 values of a half spectrum, in the order
+    (s = 0, 1, ..., (q-1)/2), and the fold's products and rank sums run
+    on it as on `rfft` output.  At full support, D = 3, N = 2^17, M is
+    2^17, and a length-M transform works in the 2 MB L2 cache that a
+    length-3M one falls out of: in such gains on a 2-core Xeon an `rfft`
+    at L = 393216 took 7.6-8.6 ms per row, and at M an `rfft` took
+    1.9-2.5 ms and an in-place complex `fft` 2.5-3.5 ms.
+
+    Rows are folded as their spectra arrive.  The last row of `spectra`
+    holds the total (first rank 0's product), row 1 a later rank's
+    product (absent at rank 1), and row 0 receives every mode >= 1 and
+    is the spent row.  Row 0 lies below the total, so `_split_inverse`'s
+    `irfft` into it lands below its input; written 3 MiB + 16 bytes above
+    its input instead (full support, D = 3, N = 2^17, 2-core Xeon), an
+    inverse took 0.7-1.0 ms longer, of 8-10 ms.
     """
     rows, occupied = len(fibers), head.size
+    length = radix * block
+    half = block // 2 + 1
     spectra = np.empty((2 if rows == order else 3, length // 2 + 1), dtype=np.complex128)
     weighted = np.empty((1, occupied))
     total = spectra[-1]
+    tables = [_twiddles(occupied, s, length, -1.0) for s in range(1, (radix + 1) // 2)]
     for row in range(rows):
         mode = row % order
         out = spectra[:1] if mode else spectra[1:2] if row else spectra[-1:]
         np.multiply(fibers[row : row + 1, :occupied], head, out=weighted)
-        _fft.rfft(weighted, n=length, axis=1, out=out)
+        _fft.rfft(weighted, n=block, axis=1, out=out[:, :half])
+        for shift, twiddles in enumerate(tables, 1):
+            start = half + (shift - 1) * block
+            bins = out[:, start : start + block]
+            _twist(weighted[0], bins[0, :occupied], twiddles)
+            bins[:, occupied:] = 0.0
+            _fft_c2c(bins, axis=1, out=bins)
         if not mode:
             product = out[0]
         else:

@@ -11,6 +11,7 @@ import scipy
 
 import ttagg
 import ttagg.cli as cli
+import ttagg.rhs
 from ttagg.kernels import SymmetrizedCPKernel, TTKernel
 from ttagg.rhs import KernelSet
 
@@ -371,6 +372,63 @@ def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
     assert len(seen) == 12
     for got, want in zip(seen, (full + [short]) * 2):
         np.testing.assert_array_equal(got, want)
+
+
+def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, capsys):
+    # the dense oracle stops at small N, where every gain is one batched
+    # call; one more line per order runs the symmetrized CP gain where it
+    # streams its rows, against a chain of np.convolve
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={
+            "2": {"type": "constant", "D": 2, "c": 0.7},
+            "3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]},
+        },
+    )
+    assert cli.main(["verify", "--config", config_path, "--seed", "6"]) == 0
+    out = capsys.readouterr().out
+    for d in (2, 3):
+        size = cli._stream_check_size(d)
+        line = f"order {d}, symmetrized CP streamed at N = {size}: max relative error P = "
+        assert line in out
+        # a rank-1 gain streams there, through its split
+        radix, block = ttagg.rhs.split_lengths(d, size)
+        assert ttagg.rhs.stream_lengths(d, d, size) == (radix, block)
+        assert radix == (1 if d == 2 else 3)
+    assert [cli._stream_check_size(d) for d in (2, 3, 4, 5)] == [9216, 8192, 8192, 8192]
+    assert "verify: PASS" in out
+
+
+def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
+    # a fault confined to the streamed gain is invisible to the dense
+    # lines, which run batched gains; the direct-convolution line fails
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    original = ttagg.rhs._cp_stream
+
+    def skewed(*args):
+        total, spent = original(*args)
+        total *= 1.0 + 1e-6
+        return total, spent
+
+    monkeypatch.setattr(ttagg.rhs, "_cp_stream", skewed)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    errors = {
+        line.split(":")[0]: float(line.split("P = ")[1].split()[0].rstrip(","))
+        for line in out.splitlines()
+        if line.startswith("order 3")
+    }
+    assert errors["order 3, symmetrized CP"] <= cli.VERIFY_TOL
+    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
+    assert errors["order 3, symmetrized CP streamed at N = 8192"] > cli.VERIFY_TOL
+    assert "verify: FAIL" in out
 
 
 def test_verify_pair_kernel_passes(tmp_path):

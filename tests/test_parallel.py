@@ -81,6 +81,48 @@ def test_fast_fft_length_is_5_smooth_alias_free_and_at_most_pow2(order, n_classe
     assert needed <= fast <= 1 << (needed - 1).bit_length()
 
 
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
+def test_split_lengths_are_odd_radix_5_smooth_and_alias_free(order):
+    # a streamed gain transforms at L = q * M: q odd, M 5-smooth, M >= m,
+    # and L at least the alias-free bound d(m-1) + 1
+    split = ttagg.rhs.split_lengths
+    occupied_sizes = [1, 2, 3, 7, 40, 1000, 1125, 3375, 12345, 1 << 15, 1 << 17, 1 << 18]
+    for occupied in occupied_sizes:
+        radix, block = split(order, occupied)
+        assert radix % 2 == 1 and radix == (order if order % 2 else order - 1)
+        assert _is_5_smooth(block) and block >= occupied
+        assert radix * block >= order * (occupied - 1) + 1
+        # the smallest 5-smooth M at that bound
+        smaller = [m for m in range(occupied, block) if _is_5_smooth(m)]
+        assert all(radix * m < order * (occupied - 1) + 1 for m in smaller)
+    if order == 2:
+        for occupied in occupied_sizes:
+            assert split(2, occupied) == (1, ttagg.rhs.fft_length(2, occupied))
+
+
+def test_split_lengths_pins():
+    split = ttagg.rhs.split_lengths
+    # brownian3_n17 at full support: L stays 3 * 2^17
+    assert split(3, 1 << 17) == (3, 1 << 17)
+    assert split(4, 1 << 15) == (3, 43740)  # M >= 43690
+    assert split(5, 1 << 13) == (5, 8192)
+    assert split(2, 1 << 17) == (1, ttagg.rhs.fft_length(2, 1 << 17))
+
+
+def test_stream_lengths_pins():
+    # batched up to 256 KiB of real rows, streamed through the split above
+    lengths = ttagg.rhs.stream_lengths
+    assert lengths(3, 3, 1 << 11) is None  # 3 rows of 48 KiB
+    assert lengths(3, 3, 1 << 13) == (3, 1 << 13)  # 3 rows of 192 KiB
+    assert lengths(3, 3, 1 << 14) == (3, 1 << 14)
+    assert lengths(5, 5, 1 << 13) == (5, 1 << 13)
+    assert lengths(3, 3, 1 << 17) == (3, 1 << 17)  # brownian3_n17
+    assert lengths(4, 4, 1 << 15) == (3, 43740)
+    assert lengths(2, 2, 1 << 17) == (1, 1 << 18)
+    assert lengths(4, 4, 64) is None  # brownian4_n15_w2 stays batched
+    assert lengths(4, 4, 1024) is None
+
+
 def test_run_blocked_covers_range_without_overlap():
     # no chunking and no pool: the seam calls fn(0, total) once, in the
     # calling thread, for every worker count

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 from functools import reduce
 from itertools import product
 
@@ -966,7 +967,7 @@ def test_concurrent_gains_reproduce_the_serial_bits():
 
 def _batched_cp_gain(kernel, state):
     """A CP or symmetrized CP gain as one `rfft` over all its fiber rows and
-    an in-place fold of that block: the bits the streamed gain must keep."""
+    an in-place fold of that block: the bits a batched gain must keep."""
     d = kernel.dimension
     occupied = state.occupied_size
     n = state.n
@@ -990,14 +991,34 @@ def _batched_cp_gain(kernel, state):
     return p
 
 
+def _convolved_cp_gain(kernel, state):
+    """A CP or symmetrized CP gain with no FFT: per rank, a chain of
+    `np.convolve` over its d weighted fiber rows, summed over ranks."""
+    d = kernel.dimension
+    occupied = state.occupied_size
+    weighted = kernel.fibers[:, :occupied] * state.n[:occupied]
+    total = sum(
+        reduce(np.convolve, weighted[start : start + d])
+        for start in range(0, len(weighted), d)
+    )
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
+    top = min(state.n_classes, d * occupied)
+    p = np.zeros(state.n_classes)
+    p[d - 1 : top] = total[: top - d + 1] * scale
+    return p
+
+
 _STREAM_N = 4096
 
 # (state length R, occupied size m): full support, a sub-N state, a
-# state of middle width and a narrow one
+# state of middle width, whose outputs wrap past the split's block length
+# M (top > M), one whose M is odd (3375 = 3^3 5^3 at d = 3 and 5, with
+# top > M), and a narrow one
 _STREAM_STATES = {
     "full": (_STREAM_N, _STREAM_N),
     "sub-n": (3000, 3000),
     "middle": (_STREAM_N, 1500),
+    "odd-block": (_STREAM_N, 3375),
     "narrow": (_STREAM_N, 40),
 }
 
@@ -1015,29 +1036,86 @@ def _stream_state(which):
     return ConcentrationState(n)
 
 
+def _streams(order, rank, occupied):
+    # the rule `_fft_gain` streams a CP gain's rows by
+    return ttagg.rhs.stream_lengths(order, order * rank, occupied) is not None
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("form", ["cp", "symmetrized"])
 def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank):
+    # a batched gain, and a streamed one at q = 1 (d = 2), which
+    # transforms at M = L, has the bits of one call; a split gain is held
+    # to direct convolution below
     kernel = _stream_kernel(form, order, rank)
-    for which in _STREAM_STATES:
+    for which, (_, occupied) in _STREAM_STATES.items():
+        lengths = ttagg.rhs.stream_lengths(order, order * rank, occupied)
+        if lengths is not None and lengths[0] > 1:
+            continue
         state = _stream_state(which)
         np.testing.assert_array_equal(
             rhs_cp_P(kernel, state), _batched_cp_gain(kernel, state), err_msg=which
         )
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", ["cp", "symmetrized"])
+def test_streamed_cp_gain_matches_direct_convolution_to_roundoff(form, order, rank):
+    # split, a gain transforms at L = q * M, so it does not share the bits
+    # of one batched `rfft` at `fft_length`: it is held to the FFT-free
+    # reference, and to exact zeros above min(R, d * m); at q = 1 (d = 2)
+    # a streamed gain keeps the batched bits
+    kernel = _stream_kernel(form, order, rank)
+    for which, (size, occupied) in _STREAM_STATES.items():
+        lengths = ttagg.rhs.stream_lengths(order, order * rank, occupied)
+        if lengths is None:
+            continue
+        state = _stream_state(which)
+        got, expected = rhs_cp_P(kernel, state), _convolved_cp_gain(kernel, state)
+        assert rel_inf(got, expected) <= 1e-12, which
+        assert np.all(got[min(size, order * occupied) :] == 0.0), which
+        if lengths[0] == 1:
+            np.testing.assert_array_equal(got, _batched_cp_gain(kernel, state), which)
+
+
 def test_streamed_cp_gain_cases_cover_every_batch_shape():
     # the cases above run both shapes of a CP gain, one call over all rows
-    # and one row per call: the budget falls between their sizes
-    shapes = set()
+    # and one row per call: the budget falls between their sizes; the
+    # streamed ones run q = 1, 3 and 5, and include outputs that wrap past
+    # the block length M and an odd M
+    shapes, radices, wraps, odd_blocks = set(), set(), set(), set()
     for order, rank, which in product((2, 3, 4, 5), (1, 2, 3), _STREAM_STATES):
-        length = ttagg.rhs.fft_length(order, _STREAM_STATES[which][1])
-        streamed = 8 * length * order * rank > ttagg.rhs._BATCH_BYTES
+        size, occupied = _STREAM_STATES[which]
+        streamed = _streams(order, rank, occupied)
         shapes.add((rank == 1, "streamed" if streamed else "batched"))
+        if streamed:
+            radix, block = ttagg.rhs.stream_lengths(order, order * rank, occupied)
+            radices.add(radix)
+            wraps.add(min(size, order * occupied) - order + 1 > block)
+            odd_blocks.add(block % 2 == 1)
     assert {shape for _, shape in shapes} == {"batched", "streamed"}
     # the stream keeps 2 spectrum rows at rank 1 and 3 above it
     assert {(True, "streamed"), (False, "streamed")} <= shapes
+    assert radices == {1, 3, 5}
+    assert wraps == {True, False}
+    assert odd_blocks == {True, False}
+
+
+def test_tracer_without_complex_transforms_keeps_the_gain_bits(monkeypatch):
+    # a tracer replaces `rhs._fft` with its real transforms only; the
+    # split's complex transforms are bound apart, so streamed and batched
+    # gains still run, with the bits they have unpatched
+    cases = [(_stream_kernel("cp", order, 1), _stream_state("full")) for order in (2, 3)]
+    lengths = [ttagg.rhs.stream_lengths(k.dimension, k.dimension, _STREAM_N) for k, _ in cases]
+    assert lengths == [None, (3, _STREAM_N)]
+    expected = [rhs_cp_P(kernel, state) for kernel, state in cases]
+    monkeypatch.setattr(
+        ttagg.rhs, "_fft", types.SimpleNamespace(rfft=np.fft.rfft, irfft=np.fft.irfft)
+    )
+    for (kernel, state), want in zip(cases, expected):
+        np.testing.assert_array_equal(rhs_cp_P(kernel, state), want)
 
 
 def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
@@ -1067,10 +1145,12 @@ def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
 
 
 def test_streamed_gain_holds_no_real_row_of_transform_length():
-    # `rfft` pads the weighted row of the m occupied sizes to L itself,
-    # and the inverse lands in the spent spectrum row, so a warm rank-1
-    # gain holds two spectrum rows, one m-column row and p; a zero-padded
-    # (1, L) real row would add (L - m) * 8, about 2 * m * 8 bytes
+    # the split's transforms of the m occupied sizes run into the spectrum
+    # row itself, its twiddles come from tables of about sqrt(M) entries,
+    # and the inverse lands in the spent spectrum row and the total, so a
+    # warm rank-1 gain holds two spectrum rows, one m-column row and p; a
+    # zero-padded (1, L) real row would add (L - m) * 8, about 2 * m * 8
+    # bytes
     n_classes, order = 1 << 14, 3
     sizes = np.arange(1, n_classes + 1)
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
@@ -1088,23 +1168,6 @@ def test_streamed_gain_holds_no_real_row_of_transform_length():
     spectrum_row = (length // 2 + 1) * 16
     weighted_row = p = n_classes * 8
     assert peak <= 2 * spectrum_row + weighted_row + p + 4096, peak
-
-
-def _convolved_cp_gain(kernel, state):
-    """A CP or symmetrized CP gain with no FFT: per rank, a chain of
-    `np.convolve` over its d weighted fiber rows, summed over ranks."""
-    d = kernel.dimension
-    occupied = state.occupied_size
-    weighted = kernel.fibers[:, :occupied] * state.n[:occupied]
-    total = sum(
-        reduce(np.convolve, weighted[start : start + d])
-        for start in range(0, len(weighted), d)
-    )
-    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(d)
-    top = min(state.n_classes, d * occupied)
-    p = np.zeros(state.n_classes)
-    p[d - 1 : top] = total[: top - d + 1] * scale
-    return p
 
 
 @pytest.mark.parametrize(
