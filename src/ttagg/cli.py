@@ -16,7 +16,6 @@ import sys
 from functools import reduce
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, build_kernel_set, config_to_dict, load_config
@@ -70,6 +69,10 @@ def _write_snapshot(path: str, state: ConcentrationState) -> None:
 
 
 def _write_manifest(path: str, config) -> None:
+    # imported here, so a process that writes no manifest does not hold
+    # scipy's 0.5 MB of modules; no result is computed with it
+    import scipy
+
     manifest = {
         "config": config_to_dict(config),
         "versions": {

@@ -97,6 +97,32 @@ class SimulationConfig:
         )
 
 
+# The keys each object of a configuration accepts; `config_to_dict`
+# writes every one, so a run manifest re-runs as it is.
+_CONFIG_KEYS = (
+    "N", "D", "kernels", "initial", "time", "record_every", "output_dir",
+    "workers", "fft_length_policy", "seed", "verify_oracle",
+)
+_TIME_KEYS = ("t0", "dt", "steps")
+_INITIAL_KEYS = {"monodisperse": ("kind", "c0"), "vector": ("kind", "values")}
+_KERNEL_KEYS = {
+    "brownian": ("type", "D", "mu"),
+    "constant": ("type", "D", "c"),
+    "table": ("type", "D", "table_path"),
+}
+
+
+def _check_keys(data: dict, accepted: tuple, what: str) -> None:
+    # a misspelled key would leave its field at the default, unnoticed
+    unknown = [key for key in data if key not in accepted]
+    if unknown:
+        raise ConfigError(
+            f"{what} has unknown key{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(repr(key) for key in unknown)}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+
+
 def _require_object(value, what: str) -> None:
     # JSON objects load as dicts; any other shape is a validation error
     if not isinstance(value, dict):
@@ -156,6 +182,9 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
         kind = data["type"]
     except KeyError:
         raise ConfigError("kernel specification is missing 'type'") from None
+    if not isinstance(kind, str) or kind not in _KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel type {kind!r}")
+    _check_keys(data, _KERNEL_KEYS[kind], f"{kind} kernel specification")
     dimension = data.get("D", order)
     if kind == "brownian":
         mu = data.get("mu")
@@ -178,14 +207,12 @@ def kernel_spec_from_dict(data: dict, order: int | None = None):
             value=_number(data["c"], "constant kernel 'c'"),
             dimension=_integer(dimension, "kernel 'D'"),
         )
-    if kind == "table":
-        path = data.get("table_path")
-        if not path:
-            raise ConfigError("table kernel specification needs 'table_path'")
-        return TableSpec(
-            path=_path(path, "'table_path'"), dimension=_integer(dimension, "kernel 'D'")
-        )
-    raise ConfigError(f"unknown kernel type {kind!r}")
+    path = data.get("table_path")
+    if not path:
+        raise ConfigError("table kernel specification needs 'table_path'")
+    return TableSpec(
+        path=_path(path, "'table_path'"), dimension=_integer(dimension, "kernel 'D'")
+    )
 
 
 def kernel_spec_to_dict(spec) -> dict:
@@ -200,6 +227,7 @@ def kernel_spec_to_dict(spec) -> dict:
 
 def config_from_dict(data: dict) -> SimulationConfig:
     _require_object(data, "configuration")
+    _check_keys(data, _CONFIG_KEYS, "configuration")
     try:
         n_classes = _integer(data["N"], "'N'")
         dimension = _integer(data["D"], "'D'")
@@ -217,20 +245,22 @@ def config_from_dict(data: dict) -> SimulationConfig:
     initial_raw = data.get("initial", {"kind": "monodisperse", "c0": 1.0})
     _require_object(initial_raw, "'initial'")
     kind = initial_raw.get("kind", "monodisperse")
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise ConfigError(f"unknown initial condition kind {kind!r}")
+    _check_keys(initial_raw, _INITIAL_KEYS[kind], f"{kind} initial condition")
     if kind == "monodisperse":
         initial = InitialCondition.monodisperse(
             _number(initial_raw.get("c0", 1.0), "'c0'")
         )
-    elif kind == "vector":
+    else:
         if "values" not in initial_raw:
             raise ConfigError("vector initial condition needs 'values'")
         initial = InitialCondition.from_vector(
             _numbers(initial_raw["values"], "vector initial 'values'")
         )
-    else:
-        raise ConfigError(f"unknown initial condition kind {kind!r}")
 
     _require_object(time_raw, "'time'")
+    _check_keys(time_raw, _TIME_KEYS, "'time'")
     try:
         grid = TimeGrid(
             t0=_number(time_raw.get("t0", 0.0), "'t0'"),

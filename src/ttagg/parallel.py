@@ -5,7 +5,7 @@ it: a gain transforms its fiber rows with `numpy.fft`, which has no
 thread option, in the calling thread and in buffers it allocates per
 call (all rows in one call, or, for a CP gain whose rows exceed
 `rhs._BATCH_BYTES`, one m-column row at a time, split into transforms
-of length M ~ m, with the inverse written into spent spectrum rows),
+of length M ~ m that are folded and inverted one bin class at a time),
 and a loss takes its two matrix-vector products in the calling thread
 too.  Every worker count therefore gives the same bits and, up to
 noise, the same time as one worker: the acceptance suite's scaling

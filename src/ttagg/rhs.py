@@ -11,10 +11,10 @@ an alias-free length L of at least d(m-1) + 1, in buffers allocated per
 call; a gain transforms all its rows in one call, except a CP gain
 whose real rows exceed `_BATCH_BYTES`, as at full support, which
 streams them one m-column row at a time, splits a long transform into
-transforms of length M ~ m (radix q, L = q*M), and inverts into a
-spent spectrum row, so it holds no real row of length L) and the loss
-through two matrix-vector products with the same fiber rows, for
-O(m log m) work per rank pair.
+transforms of length M ~ m (radix q, L = q*M), and folds and inverts
+one class of q bins at a time, so it holds no real row of length L
+and no whole half spectrum) and the loss through two matrix-vector
+products with the same fiber rows, for O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
@@ -380,20 +380,18 @@ def _pin_malloc_thresholds() -> None:
     By default glibc serves a block above its mmap threshold with a fresh
     mapping and unmaps it on free, and trims the heap top above twice that
     threshold; both adapt to the largest block freed so far, so they stay
-    near the size of pocketfft's per-row scratch (3 MB for a transform
-    of length 393216).  A gain's per-call buffers (at full support two
-    spectrum rows of 3 MiB each and a 1 MiB weighted row, see
-    `_fft_gain`), that scratch and the step's 1 MB vectors then go back
-    to the kernel after every call and are faulted back in on the next.
-    On the D = 3, N = 2^17 full-support problem (`resource.getrusage`,
-    2-core Xeon, glibc 2.36) a warm 2-step solution took 6,533-7,555
-    minor faults with default thresholds while its gains transformed at
-    L = 393216 (8,582-9,094 when the stream also held a 3 MiB real row,
-    18,827 when a gain transformed all its rows in one call), and 0 with
-    these fixed thresholds of 32 MiB (mmap) and 256 MiB (trim): freed
-    blocks are reused from the heap, so no gain needs buffers kept
-    between calls.  Its split gains, whose transforms have length
-    2^17, took 0 with either.  Other C libraries have no `mallopt`, and
+    near the size of pocketfft's per-transform scratch.  A gain's per-call
+    buffers (at full support two class rows of 2 MiB each and a 1 MiB
+    weighted row, see `_fft_gain`), that scratch and the step's 1 MB
+    vectors then go back to the kernel after a call and are faulted back
+    in on a later one.  On the D = 3, N = 2^17 full-support problem
+    (`resource.getrusage`, 2-core Xeon, glibc 2.36) warm 2-step solutions
+    took 1,025-5,503 minor faults each with default thresholds (0-2,529
+    when a gain held whole half-spectrum rows, 6,533-7,555 when it
+    transformed at L = 393216), and with these fixed thresholds of 32 MiB
+    (mmap) and 256 MiB (trim) 257 in the second solution and 0 from the
+    third on: freed blocks are reused from the heap, so no gain needs
+    buffers kept between calls.  Other C libraries have no `mallopt`, and
     there this does nothing.
     """
     try:
@@ -504,14 +502,14 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
 
     A CP gain whose r real rows of length L take more than `_BATCH_BYTES`
     streams instead (`stream_lengths`), and keeps no real row of length
-    L: `_cp_stream` weights each fiber row into one (1, m) row and
-    transforms it at length q*M, from one real and (q-1)/2 complex
-    transforms of length M ~ m (a radix-q split, `split_lengths`; at
-    d = 2, q = 1 and M = L), and folds the spectra one row at a time;
-    `_split_inverse` then inverts the total from transforms of length M
-    too, into the bytes of a spectrum row that the fold has spent, and
-    the total's own.  At full support on D = 3, N = 2^17, q = 3 and
-    M = 2^17: a spectrum row is 3 MiB and the weighted row 1 MiB.
+    L: `_cp_stream` splits its transform at length q*M into one real and
+    (q-1)/2 complex transforms of length M ~ m (a radix-q split,
+    `split_lengths`; at d = 2, q = 1 and M = L), one per class of bins,
+    and for each class weights each fiber row into one (1, m) row,
+    transforms it, folds it into the class's running product and
+    inverts the class before the next is formed.  At full support on
+    D = 3, N = 2^17 (q = 3, M = 2^17) it holds two 2 MiB class rows and
+    a 1 MiB weighted row.
 
     (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
     give p_d..p_top, times the kernel's scale, with top = min(R, d*m); p
@@ -527,7 +525,7 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     transforms at q*M with twiddles of its own, not at L in one `rfft`.
     At q = 1 (every d = 2) a streamed gain has the batched bits: a row
     transformed alone has the bits it has in one call over all rows, and
-    `_cp_stream` runs `_cp_fold`'s operations in `_cp_fold`'s order.
+    `_fold_class` runs `_cp_fold`'s operations in `_cp_fold`'s order.
     Every step runs in the calling thread, so the output is bitwise the
     same for every worker count.
     """
@@ -546,11 +544,7 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
     stream = None if tt else stream_lengths(order, rows, occupied)
     if stream:
-        radix, block = stream
-        folded, spent = _cp_stream(fibers, n[:occupied], order, radix, block)
-        p = np.zeros(n.size)
-        _split_inverse(folded, spent, radix, block, scale, p[order - 1 : top])
-        return p
+        return _cp_stream(fibers, n[:occupied], order, *stream, scale, n.size, top)
     length = fft_length(order, occupied)
     real = np.empty((rows, length))
     real[:, occupied:] = 0.0
@@ -595,49 +589,6 @@ def _twist(src, dst, tables) -> None:
         np.multiply(blocks, coarse[: len(blocks), None], out=blocks)
     if whole < count:
         np.multiply(src[whole:], fine[: count - whole] * coarse[len(blocks)], out=dst[whole:count])
-
-
-def _split_inverse(total, spent, radix: int, block: int, scale: float, out) -> None:
-    """Write `scale` times the first `out.size` values of the inverse
-    transform of length L = radix * block of `total`, a half spectrum in
-    `_cp_stream`'s bin order, into `out`; `total` is overwritten, and
-    `spent`, a spectrum row whose values are no longer needed, receives
-    the real block transform.
-
-    With y[n] = (1/L) sum_j Y[j] exp(2 pi i j n / L) and n = t*M + r,
-    the bins j = q*k + s give y[n] = (a[r] + sum_s 2 Re(exp(2 pi i s n /
-    L) c_s[r])) / q, where a is `irfft` of the bins q*k and c_s `ifft` of
-    the bins q*k + s, both of length M, s = 1..(q-1)/2: the bins of
-    s > q/2 are the conjugates of those of q - s.  a lands in the first
-    M floats of `spent` and each c_s in place of its bins; at full
-    support (D = 3, N = 2^17, 2-core Xeon) an `ifft` of length M took
-    2.5-2.6 ms in place and 3.2-4.1 ms into another row.  At q = 1, y is
-    `irfft` of length M, the inverse of the batched path.
-    """
-    length = radix * block
-    half = block // 2 + 1
-    count = out.size
-    real = spent.view(np.float64)[:block]
-    _fft.irfft(total[:half], n=block, out=real)
-    parts = []
-    for shift in range(1, (radix + 1) // 2):
-        start = half + (shift - 1) * block
-        part = total[start : start + block]
-        _ifft_c2c(part, out=part)
-        part = part[: min(block, count)]
-        _twist(part, part, _twiddles(part.size, shift, length, 1.0, 2.0))
-        parts.append(part)
-    for start in range(0, count, block):
-        dest = out[start : start + block]
-        width = dest.size
-        acc = real[:width]
-        for shift, part in enumerate(parts, 1):
-            if start:
-                # the next block of n turns the phase by exp(2 pi i s / q)
-                np.multiply(part[:width], cmath.exp(2j * math.pi * shift / radix), out=part[:width])
-            np.add(acc, part[:width].real, out=dest)
-            acc = dest
-        np.multiply(acc, scale / radix, out=dest)
 
 
 # ---------------------------------------------------------------------------
@@ -731,59 +682,108 @@ def _cp_fold(spectra, order: int):
     return total
 
 
-def _cp_stream(fibers, head, order: int, radix: int, block: int):
-    """`_cp_fold` of a CP gain's half spectra of length L = radix * block
-    (`split_lengths`), one fiber row at a time: the folded total, and a
-    spectrum row the fold has spent, whose bytes the caller may reuse.
+def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, slots):
+    """`_cp_fold` of bin class s = `shift` of a CP gain's half spectra of
+    length L = q * M (q = radix, M = block, `split_lengths`), one fiber
+    row at a time: the folded class, in slots[0].
 
     Each row is weighted by the occupied sizes' concentrations `head`
-    into one (1, m) row x, m <= M = block, and transformed by a first
-    decimation-in-frequency step of radix q = radix: the bins X[q*k] are
-    `rfft(x, n=M)`, k = 0..M//2, and the bins X[q*k + s], k = 0..M-1,
-    are the complex `fft` of length M of x[n] exp(-2 pi i s n / L), for
-    s = 1..(q-1)/2, taken in place in the spectrum row.  The bins of
-    s > q/2 mirror those of q - s as conjugates and are never formed, so
-    a row holds the L // 2 + 1 values of a half spectrum, in the order
-    (s = 0, 1, ..., (q-1)/2), and the fold's products and rank sums run
-    on it as on `rfft` output.  At full support, D = 3, N = 2^17, M is
-    2^17, and a length-M transform works in the 2 MB L2 cache that a
-    length-3M one falls out of: in such gains on a 2-core Xeon an `rfft`
-    at L = 393216 took 7.6-8.6 ms per row, and at M an `rfft` took
-    1.9-2.5 ms and an in-place complex `fft` 2.5-3.5 ms.
-
-    Rows are folded as their spectra arrive.  The last row of `spectra`
-    holds the total (first rank 0's product), row 1 a later rank's
-    product (absent at rank 1), and row 0 receives every mode >= 1 and
-    is the spent row.  Row 0 lies below the total, so `_split_inverse`'s
-    `irfft` into it lands below its input; written 3 MiB + 16 bytes above
-    its input instead (full support, D = 3, N = 2^17, 2-core Xeon), an
-    inverse took 0.7-1.0 ms longer, of 8-10 ms.
+    into one (1, m) row x, m <= M, and transformed by one branch of a
+    first decimation-in-frequency step of radix q.  Class s = 0, the
+    bins X[q*k], k = 0..M//2, is `rfft(x, n=M)`; class s = 1..(q-1)/2,
+    the bins X[q*k + s], k = 0..M-1, is the in-place complex `fft` of
+    length M of x[n] exp(-2 pi i s n / L), taken with `_twist`.  The
+    bins of s > q/2 mirror those of q - s as conjugates and are never
+    formed.  `slots` are (1, M//2 + 1) rows for s = 0 and (1, M) rows
+    otherwise: slots[0] holds the total (first rank 0's product),
+    slots[1] receives every mode >= 1, and slots[2] a later rank's
+    product (absent at rank 1).  Rows are folded as their spectra
+    arrive, by `_cp_fold`'s products and rank sums in its order, bin by
+    bin, so a class gets the bits it has in a fold of the whole half
+    spectrum.
     """
-    rows, occupied = len(fibers), head.size
-    length = radix * block
-    half = block // 2 + 1
-    spectra = np.empty((2 if rows == order else 3, length // 2 + 1), dtype=np.complex128)
+    total, row_bins, *later = slots
+    occupied = head.size
+    twiddles = _twiddles(occupied, shift, radix * block, -1.0) if shift else None
     weighted = np.empty((1, occupied))
-    total = spectra[-1]
-    tables = [_twiddles(occupied, s, length, -1.0) for s in range(1, (radix + 1) // 2)]
-    for row in range(rows):
+    for row in range(len(fibers)):
         mode = row % order
-        out = spectra[:1] if mode else spectra[1:2] if row else spectra[-1:]
+        out = row_bins if mode else later[0] if row else total
         np.multiply(fibers[row : row + 1, :occupied], head, out=weighted)
-        _fft.rfft(weighted, n=block, axis=1, out=out[:, :half])
-        for shift, twiddles in enumerate(tables, 1):
-            start = half + (shift - 1) * block
-            bins = out[:, start : start + block]
-            _twist(weighted[0], bins[0, :occupied], twiddles)
-            bins[:, occupied:] = 0.0
-            _fft_c2c(bins, axis=1, out=bins)
+        if not shift:
+            _fft.rfft(weighted, n=block, axis=1, out=out)
+        else:
+            _twist(weighted[0], out[0, :occupied], twiddles)
+            out[:, occupied:] = 0.0
+            _fft_c2c(out, axis=1, out=out)
         if not mode:
             product = out[0]
         else:
             np.multiply(product, out[0], out=product)
             if mode == order - 1 and row >= order:
-                np.add(total, product, out=total)
-    return total, spectra[0]
+                np.add(total[0], product, out=total[0])
+    return total[0]
+
+
+def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, size, top):
+    """Gain over sizes 1..`size` of an order-d CP kernel whose rows stream
+    (`stream_lengths`): `scale` times the inverse transform of length
+    L = q * M (q = radix, M = block) of the rows' folded half spectrum,
+    index sum k at p[k - 1] for d <= k <= top, formed one bin class at a
+    time by `_fold_class`.
+
+    With y[n] = (1/L) sum_j Y[j] exp(2 pi i j n / L) and n = t*M + r,
+    the bins j = q*k + s give y[n] = (a[r] + sum_s 2 Re(exp(2 pi i s n /
+    L) c_s[r])) / q, where a is `irfft` of class 0 and c_s `ifft` of
+    class s, both of length M, s = 1..(q-1)/2: the bins of s > q/2 are
+    the conjugates of those of q - s.  Classes never mix, so each is
+    folded and inverted before the next is formed: s = 1..(q-1)/2 first,
+    each c_s in place of its class, then class 0, whose a goes into a
+    spent slot below the total.  At full support on D = 3, N = 2^17 (q =
+    3, M = 2^17) the gain holds c_1 and one class's slots, 2 MiB each,
+    beside a 1 MiB weighted row and later p.  There (2-core Xeon) an
+    `ifft` took 2.5-2.6 ms in place and 3.2-4.1 ms into another row, and
+    the `irfft` 1.9 ms below its input and 2.6-2.9 ms written 1 MiB + 16
+    bytes above it.  At q = 1 (d = 2) y is `irfft` of length M = L.
+    """
+    occupied = head.size
+    length = radix * block
+    half = block // 2 + 1
+    count = top - order + 1
+    classes = (radix - 1) // 2
+    slots = 2 if len(fibers) == order else 3
+    # class s >= 1 folds in rows s - 1.. of 2 * half >= M values and
+    # leaves c_s in row s - 1; class 0 folds in half rows above the last
+    stride = 2 * half
+    spectra = np.empty((classes + slots - 1) * stride if classes else slots * half, np.complex128)
+    parts = []
+    for shift in range(1, classes + 1):
+        start = (shift - 1) * stride
+        rows = spectra[start : start + slots * stride].reshape(slots, 1, stride)[..., :block]
+        part = _fold_class(fibers, head, order, radix, block, shift, rows)
+        _ifft_c2c(part, out=part)
+        part = part[: min(block, count)]
+        _twist(part, part, _twiddles(part.size, shift, length, 1.0, 2.0))
+        parts.append(part)
+    rows = spectra[classes * stride :][: slots * half].reshape(slots, 1, half)
+    # the total on top, so the inverse lands below its input
+    total = _fold_class(fibers, head, order, radix, block, 0, rows[::-1])
+    real = rows[0, 0].view(np.float64)[:block]
+    _fft.irfft(total, n=block, out=real)
+    p = np.zeros(size)
+    out = p[order - 1 : top]
+    for start in range(0, count, block):
+        dest = out[start : start + block]
+        width = dest.size
+        acc = real[:width]
+        for shift, part in enumerate(parts, 1):
+            if start:
+                # the next block of n turns the phase by exp(2 pi i s / q)
+                np.multiply(part[:width], cmath.exp(2j * math.pi * shift / radix), out=part[:width])
+            np.add(acc, part[:width].real, out=dest)
+            acc = dest
+        np.multiply(acc, scale / radix, out=dest)
+    return p
 
 
 def rhs_cp_P(

@@ -93,6 +93,13 @@ def test_simulate_invalid_config_is_validation_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_unknown_config_key(tmp_path, capsys):
+    config_path = write_config(tmp_path, record_evry=2)
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    assert not (tmp_path / "out").exists()
+    assert "unknown key 'record_evry'" in capsys.readouterr().err
+
+
 def test_simulate_wrong_length_initial_vector_writes_nothing(tmp_path, capsys):
     config_path = write_config(
         tmp_path, N=8, initial={"kind": "vector", "values": [0.5, 0.25, 0.125]}
@@ -410,14 +417,14 @@ def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
         D=3,
         kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
     )
-    original = ttagg.rhs._cp_stream
+    original = ttagg.rhs._fold_class
 
     def skewed(*args):
-        total, spent = original(*args)
-        total *= 1.0 + 1e-6
-        return total, spent
+        folded = original(*args)
+        folded *= 1.0 + 1e-6
+        return folded
 
-    monkeypatch.setattr(ttagg.rhs, "_cp_stream", skewed)
+    monkeypatch.setattr(ttagg.rhs, "_fold_class", skewed)
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
     errors = {
@@ -594,6 +601,30 @@ def test_module_entry_point_runs(tmp_path):
     result = run_child("-m", "ttagg", "simulate", "--config", config_path)
     assert result.returncode == 0
     assert "simulate:" in result.stdout
+
+
+def test_import_and_integrate_load_no_scipy(tmp_path):
+    # scipy's version goes into a run manifest only, so importing the
+    # package and its CLI and integrating through the library load no
+    # scipy module at all
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    script = (
+        "import json, sys\n"
+        "import ttagg, ttagg.cli\n"
+        f"state, series = ttagg.integrate(ttagg.load_config({config_path!r}))\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(json.dumps([len(series.rows()), sorted(loaded)]))\n"
+    )
+    result = run_child("-c", script)
+    assert result.returncode == 0, result.stderr
+    records, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert records > 1
+    assert loaded == []
 
 
 def test_import_and_simulate_load_no_scipy_fft(tmp_path):

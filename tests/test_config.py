@@ -88,6 +88,53 @@ def test_config_validation():
         config_from_dict(minimal_dict(initial={"kind": "vector"}))
 
 
+def test_unknown_top_level_key_is_refused():
+    # a misspelled key would leave its field at the default
+    for key in ("foo", "record_evry", "worker"):
+        message = f"configuration has unknown key '{key}'; accepted: N, D,"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(minimal_dict(**{key: 1}))
+    with pytest.raises(ConfigError, match="unknown keys 'a', 'b'"):
+        config_from_dict(minimal_dict(a=1, b=2))
+    # every key a run manifest writes is accepted
+    config_from_dict(
+        minimal_dict(fft_length_policy="fast", output_dir="o", seed=3, verify_oracle=False)
+    )
+
+
+def test_unknown_time_key_is_refused():
+    message = "'time' has unknown key 'step'; accepted: t0, dt, steps"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(minimal_dict(time={"dt": 1e-3, "steps": 10, "step": 5}))
+
+
+def test_unknown_initial_key_is_refused():
+    # `values` without a vector kind would otherwise run monodisperse
+    message = "monodisperse initial condition has unknown key 'values'; accepted: kind, c0"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(minimal_dict(initial={"values": [1.0] * 16}))
+    message = "vector initial condition has unknown key 'c0'; accepted: kind, values"
+    vector = {"kind": "vector", "values": [1.0] * 16, "c0": 1.0}
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(minimal_dict(initial=vector))
+    with pytest.raises(ConfigError, match="unknown initial condition kind"):
+        config_from_dict(minimal_dict(initial={"kind": ["vector"]}))
+
+
+def test_unknown_kernel_key_is_refused():
+    cases = {
+        "brownian": ({"mu": [1 / 3, -1 / 3, 0.0], "c": 1.0}, "c", "type, D, mu"),
+        "constant": ({"D": 3, "c": 1.0, "mu": [0.0]}, "mu", "type, D, c"),
+        "table": ({"D": 3, "table_path": "k.bin", "path": "k"}, "path", "type, D, table_path"),
+    }
+    for kind, (fields, key, accepted) in cases.items():
+        message = f"{kind} kernel specification has unknown key '{key}'; accepted: {accepted}"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(minimal_dict(kernels={"3": {"type": kind, **fields}}))
+    with pytest.raises(ConfigError, match="unknown kernel type"):
+        kernel_spec_from_dict({"type": ["brownian"], "D": 2})
+
+
 def test_vector_initial_condition_must_have_n_values():
     for values in ([0.5, 0.25, 0.125], [0.1] * 17):
         with pytest.raises(ConfigError, match=f"{len(values)} values, N = 16"):

@@ -1096,7 +1096,7 @@ def test_streamed_cp_gain_cases_cover_every_batch_shape():
             wraps.add(min(size, order * occupied) - order + 1 > block)
             odd_blocks.add(block % 2 == 1)
     assert {shape for _, shape in shapes} == {"batched", "streamed"}
-    # the stream keeps 2 spectrum rows at rank 1 and 3 above it
+    # the stream keeps 2 rows per bin class at rank 1 and 3 above it
     assert {(True, "streamed"), (False, "streamed")} <= shapes
     assert radices == {1, 3, 5}
     assert wraps == {True, False}
@@ -1145,10 +1145,10 @@ def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
 
 
 def test_streamed_gain_holds_no_real_row_of_transform_length():
-    # the split's transforms of the m occupied sizes run into the spectrum
-    # row itself, its twiddles come from tables of about sqrt(M) entries,
-    # and the inverse lands in the spent spectrum row and the total, so a
-    # warm rank-1 gain holds two spectrum rows, one m-column row and p; a
+    # the split's transforms of the m occupied sizes run into the class
+    # rows themselves, its twiddles come from tables of about sqrt(M)
+    # entries, and the inverse lands in those rows, so a warm rank-1 gain
+    # holds no more than two spectrum rows, one m-column row and p; a
     # zero-padded (1, L) real row would add (L - m) * 8, about 2 * m * 8
     # bytes
     n_classes, order = 1 << 14, 3
@@ -1168,6 +1168,30 @@ def test_streamed_gain_holds_no_real_row_of_transform_length():
     spectrum_row = (length // 2 + 1) * 16
     weighted_row = p = n_classes * 8
     assert peak <= 2 * spectrum_row + weighted_row + p + 4096, peak
+
+
+def test_streamed_gain_holds_one_bin_class_at_a_time():
+    # each class of q bins is folded and inverted before the next is
+    # formed, so a warm rank-1 gain holds two rows of M values (the
+    # running product and the arriving row, or c_1 and class 0's two
+    # half rows), one m-column row and p; two half-spectrum rows of
+    # L // 2 + 1 values, 3 * M / 2 each at q = 3, would not fit
+    n_classes, order = 1 << 14, 3
+    sizes = np.arange(1, n_classes + 1)
+    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    kernel = _stream_kernel("cp", order, 1, n_classes)
+    radix, block = ttagg.rhs.stream_lengths(order, order, n_classes)
+    assert radix == 3
+    rhs_cp_P(kernel, state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rhs_cp_P(kernel, state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    weighted_row = p = n_classes * 8
+    assert peak <= 2 * 16 * block + weighted_row + p + 4096, peak
 
 
 @pytest.mark.parametrize(
