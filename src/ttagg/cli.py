@@ -13,7 +13,7 @@ import json
 import os
 import platform
 import sys
-from functools import reduce
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .parallel import run_scaling_benchmark
 from .rhs import (
     FFT_BACKEND,
     ConcentrationState,
+    convolved_gain,
+    convolves_directly,
+    gain_path,
     rhs_cp_P,
     rhs_dense_P,
     rhs_dense_Q,
@@ -128,13 +131,17 @@ def _run_verification(config, seed: int | None = None) -> int:
     time does not use, is checked too.  One line per order and form.
 
     Five states occupy every size; a sixth is zero above max(1, N // 4),
-    so the paths trimmed to the occupied sizes are checked too.
+    so the paths trimmed to the occupied sizes are checked too.  Each
+    line names the gain paths its states ran (`rhs.gain_path`).
 
-    The dense oracle fits only small N, where every gain transforms its
-    rows in one call; so each analytic order also runs its symmetrized CP
-    gain at `_stream_check_size`, where it streams its rows through the
-    split, on one random full-support state, against a chain of
-    `np.convolve`, which uses no FFT (one more line per order)."""
+    The dense oracle fits only small N, where a small CP gain convolves
+    its rows directly and a larger one transforms them in one call; so
+    each analytic order also runs its symmetrized CP gain on one random
+    full-support state at `_batch_check_size`, where a rank-1 gain
+    transforms its rows in one call, and at `_stream_check_size`, where
+    it streams them through the split, against the direct convolution
+    (`rhs.convolved_gain`, which uses no FFT; two more lines per order).
+    So the direct, batched and streamed paths are checked at any N."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -158,13 +165,12 @@ def _run_verification(config, seed: int | None = None) -> int:
         if isinstance(fast, DenseKernel):
             print(f"order {d}: dense kernel, nothing to verify")
             continue
-        size = _stream_check_size(d)
         if isinstance(spec, BrownianSpec):
             tt = build_brownian_tt(spec, config.n_classes)
-            streamed = brownian_symmetrized_cp(spec, size)
+            symmetrized = partial(brownian_symmetrized_cp, spec)
         else:
             tt = constant_tt(spec.value, d, config.n_classes)
-            streamed = constant_symmetrized_cp(spec.value, d, size)
+            symmetrized = partial(constant_symmetrized_cp, spec.value, d)
         candidates = [("symmetrized CP", fast), ("constructive TT", tt)]
         oracle = dense_from_spec(spec, config.n_classes)
         refs = [(rhs_dense_P(oracle, s), rhs_dense_Q(oracle, s)) for s in states]
@@ -175,17 +181,21 @@ def _run_verification(config, seed: int | None = None) -> int:
                 err_p = max(err_p, _rel_inf(got_p, ref_p))
                 err_q = max(err_q, _rel_inf(got_q, ref_q))
             worst = max(worst, err_p, err_q)
+            paths = dict.fromkeys(gain_path(kernel, s.occupied_size) for s in states)
             print(
                 f"order {d}, {name}: max relative error "
-                f"P = {err_p:.3e}, Q = {err_q:.3e}"
+                f"P = {err_p:.3e}, Q = {err_q:.3e} (gain: {', '.join(paths)})"
             )
-        wide = ConcentrationState(rng.random(size))
-        err = _rel_inf(rhs_cp_P(streamed, wide), _convolved_gain(streamed, wide))
-        worst = max(worst, err)
-        print(
-            f"order {d}, symmetrized CP streamed at N = {size}: max relative "
-            f"error P = {err:.3e} against direct convolution"
-        )
+        checks = (("batched", _batch_check_size(d)), ("streamed", _stream_check_size(d)))
+        for path, size in checks:
+            kernel = symmetrized(size)
+            wide = ConcentrationState(rng.random(size))
+            err = _rel_inf(rhs_cp_P(kernel, wide), convolved_gain(kernel, wide))
+            worst = max(worst, err)
+            print(
+                f"order {d}, symmetrized CP {path} at N = {size}: max relative "
+                f"error P = {err:.3e} against direct convolution"
+            )
     if worst <= VERIFY_TOL:
         print(f"verify: PASS (all errors <= {VERIFY_TOL:.1e})")
         return EXIT_OK
@@ -201,6 +211,16 @@ def cmd_verify(config_path: str, seed: int | None = None,
     return _run_verification(config, seed)
 
 
+def _batch_check_size(order: int) -> int:
+    # the smallest N at which a rank-1 gain of this order transforms its
+    # rows at full support (`rhs.convolves_directly`): N = 236, 131, 89
+    # and 65 for d = 2..5, where it transforms them in one call
+    size = 1
+    while convolves_directly(order, 1, size):
+        size += 1
+    return size
+
+
 def _stream_check_size(order: int) -> int:
     # the smallest N = 8192 + 1024 j at which a rank-1 gain of this order
     # streams its rows at full support, through its split for d >= 3
@@ -209,22 +229,6 @@ def _stream_check_size(order: int) -> int:
     while stream_lengths(order, order, size) is None:
         size += 1 << 10
     return size
-
-
-def _convolved_gain(kernel, state: ConcentrationState) -> np.ndarray:
-    # a symmetrized CP gain with no FFT: per rank, a chain of `np.convolve`
-    # over its d weighted fiber rows, summed over the ranks
-    d = kernel.dimension
-    occupied = state.occupied_size
-    weighted = kernel.fibers[:, :occupied] * state.n[:occupied]
-    total = sum(
-        reduce(np.convolve, weighted[start : start + d])
-        for start in range(0, len(weighted), d)
-    )
-    top = min(state.n_classes, d * occupied)
-    p = np.zeros(state.n_classes)
-    p[d - 1 : top] = total[: top - d + 1]
-    return p
 
 
 def _rel_inf(got: np.ndarray, ref: np.ndarray) -> float:

@@ -6,8 +6,9 @@ thread option, in the calling thread and in buffers it allocates per
 call (all rows in one call, or, for a CP gain whose rows exceed
 `rhs._BATCH_BYTES`, one m-column row at a time, split into transforms
 of length M ~ m that are folded and inverted one bin class at a time),
-and a loss takes its two matrix-vector products in the calling thread
-too.  Every worker count therefore gives the same bits and, up to
+a small CP gain convolves its rows with `np.convolve` (below
+`rhs.convolves_directly`'s bound), and a loss takes its two
+matrix-vector products, all in the calling thread.  Every worker count therefore gives the same bits and, up to
 noise, the same time as one worker: the acceptance suite's scaling
 problem (D = 3, N = 2^17, timed by `run_scaling_benchmark` below) ran
 0.90-1.12x at 4 workers against 1 in four runs on a 2-core Xeon.  The

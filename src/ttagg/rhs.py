@@ -15,6 +15,11 @@ transforms of length M ~ m (radix q, L = q*M), and folds and inverts
 one class of q bins at a time, so it holds no real row of length L
 and no whole half spectrum) and the loss through two matrix-vector
 products with the same fiber rows, for O(m log m) work per rank pair.
+A small CP gain, below the work bound of `convolves_directly`, is no
+transform at all: each rank's d weighted rows convolve directly
+(`np.convolve`), which costs less than the transforms' fixed cost and
+is exact to a few ulps in every component, where an FFT's roundoff is
+relative to the largest entry of p.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
@@ -472,6 +477,56 @@ def split_lengths(order: int, occupied: int) -> tuple[int, int]:
 # 27.6 ms in all.  256 KiB holds 4 rows of 64 KiB and no full-support row.
 _BATCH_BYTES = 256 << 10
 
+# Estimated work, in multiply-adds, up to which a CP gain convolves its
+# weighted rows directly (`convolves_directly`), and the fixed cost of
+# one `np.convolve` call in the same unit.  Measured on a 2-core Xeon
+# with numpy 2.4.6, in-process, per gain on states of d = 2..5 at ranks
+# 1, 3 and 24, each path timed in alternated blocks (`BENCH_23.json`):
+# a rank-1 gain took 16-20 us on the FFT path at m <= 16, mostly the
+# fixed cost of two `numpy.fft` calls and the fold, and 6-12 us direct;
+# the direct chain costs about 0.2-0.5 ns per multiply-add and 1-3 us
+# per call, so at rank 24, with 24(d - 1) calls, the FFT wins from m = 2
+# on.  At rank 1 the FFT first won at m = 256, 128-160 and 96-128 for
+# d = 3, 4 and 5 (100-200k multiply-adds), and not up to m = 256 at
+# d = 2.  With these two constants no cell of the grid that goes direct
+# was more than 5% slower than its FFT path (at worst 1.02x, rank 3 at
+# d = 5, m = 12); the bound gives up some cells where direct was faster
+# (rank 1 at d = 2, m = 256, or rank 24 at m = 1).
+_DIRECT_WORK = 60_000
+_CONVOLVE_CALL = 4_600
+
+
+def convolves_directly(order: int, rank: int, occupied: int) -> bool:
+    """True if `_fft_gain` computes an order-d CP gain of `rank` ranks on a
+    state with occupied size m by direct convolution of its weighted rows.
+
+    Each rank's chain convolves its j-th partial product, of length
+    j(m-1) + 1, with a row of m values, so it makes d - 1 `np.convolve`
+    calls and sum_{j=1..d-1} m(j(m-1)+1) = (d-1) m((m-1)d + 2)/2
+    multiply-adds.  A gain goes direct when the R chains' multiply-adds
+    plus `_CONVOLVE_CALL` per call are at most `_DIRECT_WORK`.
+    """
+    calls = rank * (order - 1)
+    # m((m-1)d + 2) is even: m(m-1) is
+    per_call = occupied * ((occupied - 1) * order + 2) // 2
+    return calls * (per_call + _CONVOLVE_CALL) <= _DIRECT_WORK
+
+
+def gain_path(kernel, occupied: int) -> str:
+    """How `_fft_gain` computes the gain of a TT, CP or symmetrized CP
+    kernel on a state with occupied size m >= 1: "direct"
+    (`convolves_directly`), "batched FFT" (every row in one transform
+    call) or "streamed FFT" (`stream_lengths`).  TT gains always
+    transform."""
+    order = kernel.dimension
+    rows = len(kernel.fibers)
+    if isinstance(kernel, TTKernel):
+        return "batched FFT"
+    if convolves_directly(order, rows // order, occupied):
+        return "direct"
+    return "batched FFT" if stream_lengths(order, rows, occupied) is None else "streamed FFT"
+
+
 def stream_lengths(order: int, rows: int, occupied: int) -> tuple[int, int] | None:
     """(q, M) of an order-d CP gain with `rows` fiber rows on a state with
     occupied size m that streams its rows, or None for one that
@@ -487,14 +542,24 @@ def stream_lengths(order: int, rows: int, occupied: int) -> tuple[int, int] | No
 
 
 def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
-    """Truncated order-d gain of a TT, CP or symmetrized CP kernel by FFT.
+    """Truncated order-d gain of a TT, CP or symmetrized CP kernel by FFT,
+    or, for a small CP gain, by direct convolution.
 
     The kernel's `fibers`, an (r, N) array, are read in place; the state
     covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
     (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.  Pipeline, in an (r, L) array `real`,
-    whose padding columns m..L-1 are zero-filled once, and an (r, L // 2
-    + 1) array `spectra`, both allocated per call: (1) weight the first m
+    above m has a zero product.
+
+    A CP gain whose chains of `np.convolve` fit the work bound of
+    `convolves_directly` (d, m and its rank decide) transforms nothing:
+    `_convolve_rows` convolves each rank's d weighted rows in mode order,
+    adds the ranks in order and scales, so every entry of p is exact to
+    a few ulps and an index sum that no d occupied sizes reach is an
+    exact 0.0.  Its bits are not the FFT's.  A TT gain always transforms.
+
+    Otherwise the gain transforms, in an (r, L) array `real`, whose
+    padding columns m..L-1 are zero-filled once, and an (r, L // 2 + 1)
+    array `spectra`, both allocated per call: (1) weight the first m
     columns of every fiber row by the concentrations in one broadcast
     product, size i at column i-1; (2) transform all rows in one call;
     (3) `_tt_fold` or `_cp_fold` combines the spectra in place; (4)
@@ -542,6 +607,8 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
+    if not tt and convolves_directly(order, rows // order, occupied):
+        return _convolve_rows(fibers, n[:occupied], order, scale, n.size, top)
     stream = None if tt else stream_lengths(order, rows, occupied)
     if stream:
         return _cp_stream(fibers, n[:occupied], order, *stream, scale, n.size, top)
@@ -668,6 +735,36 @@ def rhs_tt_Q(
 # ---------------------------------------------------------------------------
 # CP fast paths
 # ---------------------------------------------------------------------------
+
+def convolved_gain(kernel: CPKernel | SymmetrizedCPKernel, state: ConcentrationState) -> np.ndarray:
+    """Gain of a CP or symmetrized CP kernel by direct convolution, whatever
+    its size: the path `_fft_gain` takes below `convolves_directly`, and
+    the FFT-free reference `ttagg verify` holds the transformed gains to.
+    """
+    order = _check_pair(kernel, state)
+    n = state.n
+    occupied = state.occupied_size
+    top = min(n.size, order * occupied)
+    if top < order:
+        return np.zeros(n.size)
+    scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
+    return _convolve_rows(kernel.fibers, n[:occupied], order, scale, n.size, top)
+
+
+def _convolve_rows(fibers, head, order: int, scale: float, size: int, top: int):
+    # p over sizes 1..size: per rank, a chain of `np.convolve` over its d
+    # fiber rows weighted by the occupied sizes' concentrations `head`,
+    # the ranks added in order, index sum k at p[k - 1] for d <= k <= top,
+    # times `scale`; no transform, so every entry is exact to a few ulps,
+    # and an index sum no d occupied sizes reach is an exact 0.0
+    weighted = fibers[:, : head.size] * head
+    total = reduce(np.convolve, weighted[:order])
+    for start in range(order, len(weighted), order):
+        np.add(total, reduce(np.convolve, weighted[start : start + order]), out=total)
+    p = np.zeros(size)
+    np.multiply(total[: top - order + 1], scale, out=p[order - 1 : top])
+    return p
+
 
 def _cp_fold(spectra, order: int):
     # per bin, multiply each rank's d mode spectra in mode order into the
@@ -838,14 +935,18 @@ def rhs_cp_Q(
     q = np.zeros(state.n.size)
     tail = q[:occupied]
     if isinstance(kernel, SymmetrizedCPKernel):
-        # others[r * d + m] = prod_{m' != m} S[m', r], the modes in order
-        others = [
-            math.prod(row[:m] + row[m + 1 :])
+        # others[r * d + m] = -prod_{m' != m} S[m', r], the modes in order
+        # and the loss's sign folded in: negation is exact, so q has the
+        # bits of -(others' products . fibers) n; an array, since `np.dot`
+        # converts a list on every call
+        others = np.array([
+            -math.prod(row[:m] + row[m + 1 :])
             for row in moments.tolist()
             for m in range(d)
-        ]
+        ])
         np.dot(others, fibers, out=tail)
-        return _loss(n, tail, 1.0, q)
+        np.multiply(tail, n, out=tail)
+        return q
     np.dot(moments[:, : d - 1].prod(axis=1), fibers[d - 1 :: d], out=tail)
     return _loss(n, tail, math.factorial(d - 1), q)
 

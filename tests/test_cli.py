@@ -12,7 +12,7 @@ import scipy
 import ttagg
 import ttagg.cli as cli
 import ttagg.rhs
-from ttagg.kernels import SymmetrizedCPKernel, TTKernel
+from ttagg.kernels import SymmetrizedCPKernel, TTKernel, constant_symmetrized_cp
 from ttagg.rhs import KernelSet
 
 
@@ -382,9 +382,9 @@ def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
 
 
 def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, capsys):
-    # the dense oracle stops at small N, where every gain is one batched
-    # call; one more line per order runs the symmetrized CP gain where it
-    # streams its rows, against a chain of np.convolve
+    # the dense oracle stops at small N, where no gain streams; one more
+    # line per order runs the symmetrized CP gain where it streams its
+    # rows, against a chain of np.convolve
     config_path = write_config(
         tmp_path,
         N=16,
@@ -410,7 +410,7 @@ def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, caps
 
 def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
     # a fault confined to the streamed gain is invisible to the dense
-    # lines, which run batched gains; the direct-convolution line fails
+    # lines, which run direct and batched gains; the streamed line fails
     config_path = write_config(
         tmp_path,
         N=16,
@@ -435,6 +435,95 @@ def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
     assert errors["order 3, symmetrized CP"] <= cli.VERIFY_TOL
     assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
     assert errors["order 3, symmetrized CP streamed at N = 8192"] > cli.VERIFY_TOL
+    assert "verify: FAIL" in out
+
+
+def test_verify_checks_a_batched_gain_and_names_each_path(tmp_path, capsys):
+    # at N = 16 the symmetrized CP gains convolve directly and the TT
+    # gains transform; one more line per order runs a batched FFT gain,
+    # at the smallest N where a rank-1 gain is above the direct bound
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={
+            "2": {"type": "constant", "D": 2, "c": 0.7},
+            "3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]},
+        },
+    )
+    assert cli.main(["verify", "--config", config_path, "--seed", "6"]) == 0
+    out = capsys.readouterr().out
+    for d in (2, 3):
+        assert f"order {d}, symmetrized CP: max relative error" in out
+        line = next(x for x in out.splitlines() if x.startswith(f"order {d}, symmetrized CP:"))
+        assert line.endswith("(gain: direct)")
+        line = next(x for x in out.splitlines() if x.startswith(f"order {d}, constructive TT:"))
+        assert line.endswith("(gain: batched FFT)")
+        size = cli._batch_check_size(d)
+        assert f"order {d}, symmetrized CP batched at N = {size}: max relative error P = " in out
+        kernel = constant_symmetrized_cp(1.0, d, size)
+        assert ttagg.rhs.gain_path(kernel, size) == "batched FFT"
+        assert ttagg.rhs.gain_path(kernel, size - 1) == "direct"
+    assert [cli._batch_check_size(d) for d in (2, 3, 4, 5)] == [236, 131, 89, 65]
+    assert "verify: PASS" in out
+
+
+def _verify_errors(out, order):
+    # the P error of every verify line of one order, by the line's name
+    return {
+        line.split(":")[0]: float(line.split("P = ")[1].split()[0].rstrip(","))
+        for line in out.splitlines()
+        if line.startswith(f"order {order}")
+    }
+
+
+def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
+    # at N = 16 no CP gain transforms in one call, so only the batched line
+    # sees a fault in the batched fold
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    original = ttagg.rhs._cp_fold
+
+    def skewed(*args):
+        folded = original(*args)
+        folded *= 1.0 + 1e-6
+        return folded
+
+    monkeypatch.setattr(ttagg.rhs, "_cp_fold", skewed)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    errors = _verify_errors(out, 3)
+    assert errors["order 3, symmetrized CP"] <= cli.VERIFY_TOL
+    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
+    assert errors["order 3, symmetrized CP batched at N = 131"] > cli.VERIFY_TOL
+    assert errors["order 3, symmetrized CP streamed at N = 8192"] <= cli.VERIFY_TOL
+    assert "verify: FAIL" in out
+
+
+def test_verify_fails_on_a_wrong_direct_gain(tmp_path, monkeypatch, capsys):
+    # the direct convolution is both the small gains' path and the
+    # transformed gains' reference: the dense line sees a fault in it
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=3,
+        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
+    )
+    original = ttagg.rhs._convolve_rows
+
+    def skewed(*args):
+        return original(*args) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(ttagg.rhs, "_convolve_rows", skewed)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    errors = _verify_errors(out, 3)
+    assert errors["order 3, symmetrized CP"] > cli.VERIFY_TOL
+    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
     assert "verify: FAIL" in out
 
 

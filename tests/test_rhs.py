@@ -14,7 +14,7 @@ import pytest
 
 import ttagg.rhs
 from ttagg.config import SimulationConfig, build_kernel_set
-from ttagg.integrator import InitialCondition, TimeGrid, integrate
+from ttagg.integrator import InitialCondition, TimeGrid, integrate, rk2_step
 from ttagg.kernels import (
     BrownianSpec,
     ConstantSpec,
@@ -679,7 +679,9 @@ def test_four_workers_give_the_serial_tt_bits():
 
 
 def test_any_alias_free_length_gives_the_gain(monkeypatch):
-    # any alias-free transform length gives the gain up to roundoff
+    # any alias-free transform length gives the gain up to roundoff; with
+    # no direct bound the small CP gain transforms too
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     rng = np.random.default_rng(73)
     state = ConcentrationState(rng.random(48))
     tt = build_brownian_tt(BrownianSpec((1 / 3, -1 / 3, 0.0)), 48)
@@ -719,7 +721,9 @@ def alias_cases(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_gain_is_alias_free_at_the_minimal_length(order, monkeypatch):
-    # size i sits at slot i-1, so index sums fill slots 0..d(N-1)
+    # size i sits at slot i-1, so index sums fill slots 0..d(N-1); with no
+    # direct bound the CP gains transform too
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     monkeypatch.setattr(ttagg.rhs, "fft_length", lambda d, n: d * (n - 1) + 1)
     cases, state = alias_cases(order)
     for gain, kernel, dense in cases:
@@ -729,7 +733,9 @@ def test_gain_is_alias_free_at_the_minimal_length(order, monkeypatch):
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_one_slot_shorter_aliases_into_the_smallest_gain(order, monkeypatch):
     # at L = d(N-1) the index sum d*N, the d-tuple (N, ..., N), wraps onto
-    # slot 0, which holds k = d; every other slot stays exact
+    # slot 0, which holds k = d; every other slot stays exact.  With no
+    # direct bound the CP gains transform, as the TT gain always does
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     monkeypatch.setattr(ttagg.rhs, "fft_length", lambda d, n: d * (n - 1))
     cases, state = alias_cases(order)
     corner = (state.n_classes - 1,) * order
@@ -1044,10 +1050,12 @@ def _streams(order, rank, occupied):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("form", ["cp", "symmetrized"])
-def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank):
+def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank, monkeypatch):
     # a batched gain, and a streamed one at q = 1 (d = 2), which
     # transforms at M = L, has the bits of one call; a split gain is held
-    # to direct convolution below
+    # to direct convolution below.  The narrow state would convolve
+    # directly, so the bound is lifted: every state here transforms
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     kernel = _stream_kernel(form, order, rank)
     for which, (_, occupied) in _STREAM_STATES.items():
         lengths = ttagg.rhs.stream_lengths(order, order * rank, occupied)
@@ -1215,6 +1223,121 @@ def test_streamed_gain_matches_direct_convolution(make_kernel):
     expected = _convolved_cp_gain(kernel, state)
     error = np.max(np.abs(rhs_cp_P(kernel, state) - expected))
     assert error <= 1e-12 * np.max(np.abs(expected)), error
+
+
+# ---------------------------------------------------------------------------
+# small CP gains convolve directly
+# ---------------------------------------------------------------------------
+
+# (d, rank, m): does an order-d CP gain of that rank on a state occupying
+# sizes 1..m convolve directly?  Each rank's last direct m and first
+# transformed one, the cells a D = 4 monodisperse run passes through, and
+# rank 24, whose 24(d - 1) `np.convolve` calls never pay
+_DIRECT_CELLS = {
+    (2, 1, 235): True, (2, 1, 236): False,
+    (3, 1, 130): True, (3, 1, 131): False,
+    (4, 1, 1): True, (4, 1, 4): True, (4, 1, 16): True, (4, 1, 64): True,
+    (4, 1, 88): True, (4, 1, 89): False, (4, 1, 256): False, (4, 1, 1024): False,
+    (5, 1, 64): True, (5, 1, 65): False,
+    (2, 3, 124): True, (2, 3, 125): False,
+    (3, 3, 60): True, (3, 3, 61): False,
+    (4, 3, 32): True, (4, 3, 33): False,
+    (5, 3, 12): True, (5, 3, 13): False,
+    (2, 24, 1): False, (5, 24, 1): False,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_DIRECT_CELLS), ids=str)
+def test_small_cp_gains_convolve_directly_below_the_bound(cell, monkeypatch):
+    # which path runs is read from the transforms it calls; either path
+    # gives the gain of the FFT-free reference
+    order, rank, occupied = cell
+    direct = _DIRECT_CELLS[cell]
+    calls = []
+
+    def counted(transform):
+        def call(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+
+        return call
+
+    transforms = types.SimpleNamespace(rfft=counted(np.fft.rfft), irfft=counted(np.fft.irfft))
+    monkeypatch.setattr(ttagg.rhs, "_fft", transforms)
+    kernel = _stream_kernel("symmetrized", order, rank, order * occupied)
+    n = np.random.default_rng(occupied).uniform(0.1, 1.0, order * occupied)
+    n[occupied:] = 0.0
+    state = ConcentrationState(n)
+    got = rhs_cp_P(kernel, state)
+    assert (not calls) == direct, calls
+    assert ttagg.rhs.convolves_directly(order, rank, occupied) == direct
+    assert ttagg.rhs.gain_path(kernel, occupied) == ("direct" if direct else "batched FFT")
+    assert rel_inf(got, _convolved_cp_gain(kernel, state)) <= 1e-12
+
+
+# state lengths per order keep each dense oracle small
+_DECAYING_N = {2: 24, 3: 24, 4: 16, 5: 12}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", ["cp", "symmetrized"])
+def test_small_gain_is_componentwise_exact_on_a_decaying_state(form, order, rank):
+    # n_k = 10^(-3k) spans hundreds of decades; an FFT's roundoff is
+    # relative to the largest entry of p, so its small tail is noise, while
+    # the direct convolution is exact to a few ulps in every component
+    n_classes = _DECAYING_N[order]
+    assert ttagg.rhs.convolves_directly(order, rank, n_classes)
+    kernel = _stream_kernel(form, order, rank, n_classes)
+    state = ConcentrationState(10.0 ** (-3.0 * np.arange(1, n_classes + 1)))
+    got, ref = rhs_cp_P(kernel, state), rhs_dense_P(dense_from_cp(kernel), state)
+    normal = np.abs(ref) >= np.finfo(np.float64).tiny
+    assert normal.sum() >= n_classes // 2
+    error = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+    assert error.max() <= 1e-13, error.max()
+
+
+def test_monodisperse_brownian_steps_keep_unreachable_sizes_empty():
+    # from a monodisperse start an order-4 collision makes sizes 1 + 3j
+    # only; two steps run their four gains at m = 1, 4, 16 and 64, all
+    # direct, so every other size stays an exact zero and none goes negative
+    n_classes = 1 << 12
+    kernel = brownian_symmetrized_cp(BrownianSpec((0.5, -0.5, 0.25, 0.0)), n_classes)
+    kernels = KernelSet({4: kernel})
+    state = InitialCondition.monodisperse(1.0).state(n_classes)
+    for _ in range(2):
+        assert ttagg.rhs.gain_path(kernel, state.occupied_size) == "direct"
+        state = rk2_step(state, 1e-2, kernels)
+    sizes = np.arange(1, n_classes + 1)
+    assert state.occupied_size == 4 * 64
+    assert np.all(state.n >= 0.0)
+    assert np.all(state.n[(sizes - 1) % 3 != 0] == 0.0)
+    assert np.all(state.n[: state.occupied_size][(sizes[: state.occupied_size] - 1) % 3 == 0] > 0.0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_symmetrized_loss_keeps_the_bits_of_the_list_formula(order, rank):
+    # the loss folds its sign into an array of the other modes' products;
+    # negation is exact, so q keeps the bits of the formula that took the
+    # products as a list and divided by -1
+    kernel = _stream_kernel("symmetrized", order, rank, 300)
+    rng = np.random.default_rng(order * 10 + rank)
+    for occupied in (1, 7, 300):
+        n = np.zeros(300)
+        n[:occupied] = rng.uniform(0.1, 1.0, occupied)
+        state = ConcentrationState(n)
+        fibers = kernel.fibers[:, :occupied]
+        moments = np.dot(fibers, n[:occupied]).reshape(-1, order)
+        others = [
+            math.prod(row[:m] + row[m + 1 :]) for row in moments.tolist() for m in range(order)
+        ]
+        q = np.zeros(300)
+        tail = q[:occupied]
+        np.dot(others, fibers, out=tail)
+        np.multiply(tail, n[:occupied], out=tail)
+        np.divide(tail, -1.0, out=tail)
+        np.testing.assert_array_equal(rhs_cp_Q(kernel, state), q)
 
 
 # ---------------------------------------------------------------------------
