@@ -141,7 +141,14 @@ def _run_verification(config, seed: int | None = None) -> int:
     transforms its rows in one call, and at `_stream_check_size`, where
     it streams them through the split, against the direct convolution
     (`rhs.convolved_gain`, which uses no FFT; two more lines per order).
-    So the direct, batched and streamed paths are checked at any N."""
+    So the direct, batched and streamed paths are checked at any N.
+
+    A last line per analytic order runs its symmetrized CP gain on a
+    random state on the sizes 1 + s*j, with s = d - 1 (the sizes a
+    monodisperse start reaches) or 2 at d = 2, whose J lattice columns
+    are `_batch_check_size` many, so the gain transforms its compressed
+    rows (`rhs._fft_gain`).  It is held to `rhs.convolved_gain` over the
+    uncompressed rows, which is an exact 0.0 off the gain's lattice."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -196,6 +203,18 @@ def _run_verification(config, seed: int | None = None) -> int:
                 f"order {d}, symmetrized CP {path} at N = {size}: max relative "
                 f"error P = {err:.3e} against direct convolution"
             )
+        stride, count = max(2, d - 1), _batch_check_size(d)
+        occupied = 1 + stride * (count - 1)
+        kernel = symmetrized(d * occupied)
+        values = np.zeros(d * occupied)
+        values[:occupied:stride] = rng.random(count)
+        sparse = ConcentrationState(values)
+        err = _rel_inf(rhs_cp_P(kernel, sparse), convolved_gain(kernel, sparse))
+        worst = max(worst, err)
+        print(
+            f"order {d}, symmetrized CP on sizes 1 + {stride}j at N = {d * occupied}: "
+            f"max relative error P = {err:.3e} against direct convolution"
+        )
     if worst <= VERIFY_TOL:
         print(f"verify: PASS (all errors <= {VERIFY_TOL:.1e})")
         return EXIT_OK

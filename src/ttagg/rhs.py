@@ -23,7 +23,9 @@ relative to the largest entry of p.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
-loss above m).
+loss above m).  A gain not direct at m reads only the sizes of the
+state's lattice first + stride*j (`ConcentrationState.size_lattice`),
+and every other size of p is an exact zero.
 
 Every operator takes a state over sizes 1..R for any R <= the kernel's
 N, treats the sizes above R as empty, and returns vectors over 1..R:
@@ -160,6 +162,12 @@ class ConcentrationState:
         """Largest size k with n_k != 0, or 0 for an all-zero state."""
         return _last_nonzero_size(self.n)
 
+    @cached_property
+    def size_lattice(self) -> tuple[int, int]:
+        """(first, stride) with every occupied size first + stride*j
+        (`_size_lattice`)."""
+        return _size_lattice(self.n, self.occupied_size)
+
 
 def _last_nonzero_size(n: np.ndarray) -> int:
     # 1-based index of the last nonzero entry, 0 if there is none
@@ -168,6 +176,23 @@ def _last_nonzero_size(n: np.ndarray) -> int:
     nonzero = n[::-1] != 0
     last = int(np.argmax(nonzero))  # first True from the end
     return n.size - last if nonzero[last] else 0
+
+
+def _size_lattice(n: np.ndarray, occupied: int) -> tuple[int, int]:
+    """(first, stride) of the occupied sizes 1..m of n: the smallest,
+    and the gap to the next if every one is first + stride*j, else 1;
+    (1, 1) for none.  (1, 1) at once when sizes 1 and 2 are occupied,
+    else one scan and one `count_nonzero` over n[first-1:m:stride]."""
+    if occupied < 2 or (n[0] and n[1]):
+        return 1, 1
+    sizes = np.flatnonzero(n[:occupied])
+    first = int(sizes[0]) + 1
+    if sizes.size == 1:
+        return first, 1
+    stride = int(sizes[1] - sizes[0])
+    if np.count_nonzero(n[first - 1 : occupied : stride]) != sizes.size:
+        stride = 1
+    return first, stride
 
 
 def kernel_element(kernel, idx) -> float:
@@ -517,7 +542,8 @@ def gain_path(kernel, occupied: int) -> str:
     kernel on a state with occupied size m >= 1: "direct"
     (`convolves_directly`), "batched FFT" (every row in one transform
     call) or "streamed FFT" (`stream_lengths`).  TT gains always
-    transform."""
+    transform.  On a state off full support pass the J columns of its
+    size lattice: a gain direct at m is direct at J <= m too."""
     order = kernel.dimension
     rows = len(kernel.fibers)
     if isinstance(kernel, TTKernel):
@@ -545,54 +571,44 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     """Truncated order-d gain of a TT, CP or symmetrized CP kernel by FFT,
     or, for a small CP gain, by direct convolution.
 
-    The kernel's `fibers`, an (r, N) array, are read in place; the state
-    covers sizes 1..R, R <= N.  Only the occupied sizes 1..m of the state
-    (`ConcentrationState.occupied_size`) enter: a d-tuple with a size
-    above m has a zero product.
+    The kernel's (r, N) `fibers` are read in place; the state covers
+    sizes 1..R, R <= N, and only its occupied sizes 1..m enter.  A CP
+    gain direct at m (`convolves_directly`) looks up nothing more.
+    Every other gain reads the J = (m - first) // stride + 1 columns
+    first-1:m:stride of its rows and of n, where every nonzero size is
+    first + stride*j (`ConcentrationState.size_lattice`; J = m at full
+    support, (1, 1)), and writes their d-fold convolution, index sum
+    d*first + stride*c at column c, into p[d*first-1:top:stride], top =
+    min(R, d*m); every other entry of p is an exact 0.0.  J decides all
+    below, where m means J.
 
-    A CP gain whose chains of `np.convolve` fit the work bound of
-    `convolves_directly` (d, m and its rank decide) transforms nothing:
-    `_convolve_rows` convolves each rank's d weighted rows in mode order,
-    adds the ranks in order and scales, so every entry of p is exact to
-    a few ulps and an index sum that no d occupied sizes reach is an
-    exact 0.0.  Its bits are not the FFT's.  A TT gain always transforms.
-
-    Otherwise the gain transforms, in an (r, L) array `real`, whose
-    padding columns m..L-1 are zero-filled once, and an (r, L // 2 + 1)
-    array `spectra`, both allocated per call: (1) weight the first m
-    columns of every fiber row by the concentrations in one broadcast
-    product, size i at column i-1; (2) transform all rows in one call;
-    (3) `_tt_fold` or `_cp_fold` combines the spectra in place; (4)
-    inverse-transform the combined spectrum into real row 0.
+    A CP gain direct at J convolves each rank's d weighted rows in mode
+    order (`_convolve_rows`), adds the ranks in order and scales: each
+    entry is exact to a few ulps, not the FFT's bits.  A TT gain always
+    transforms.  Otherwise, in an (r, L) array `real`, padding columns
+    m..L-1 zeroed, and an (r, L // 2 + 1) array `spectra`: (1) weight
+    the m columns of every row in one broadcast product; (2) transform
+    all rows in one call; (3) `_tt_fold` or `_cp_fold` combines the
+    spectra in place; (4) invert into real row 0; (5) its first
+    len(view) columns times the kernel's scale fill the view.  The
+    largest column is d(m-1), and L = `fft_length(d, m)` keeps it
+    alias-free.
 
     A CP gain whose r real rows of length L take more than `_BATCH_BYTES`
-    streams instead (`stream_lengths`), and keeps no real row of length
-    L: `_cp_stream` splits its transform at length q*M into one real and
-    (q-1)/2 complex transforms of length M ~ m (a radix-q split,
-    `split_lengths`; at d = 2, q = 1 and M = L), one per class of bins,
-    and for each class weights each fiber row into one (1, m) row,
-    transforms it, folds it into the class's running product and
-    inverts the class before the next is formed.  At full support on
-    D = 3, N = 2^17 (q = 3, M = 2^17) it holds two 2 MiB class rows and
-    a 1 MiB weighted row.
+    streams instead (`stream_lengths`): `_cp_stream` splits the
+    transform at q*M into one real and (q-1)/2 complex transforms of
+    length M ~ m (`split_lengths`; at d = 2, q = 1 and M = L), one per
+    class of bins, weights each row in the head of p, and folds and
+    inverts each class before the next, holding no real row of length
+    L: at full support on D = 3, N = 2^17 (q = 3, M = 2^17) two 2 MiB
+    class rows and p, 1 MiB.  Its bits differ from the batched shape's
+    by roundoff, except at q = 1, where `_fold_class` runs `_cp_fold`'s
+    operations in its order.
 
-    (5) index sum k of d sizes sits at column k - d, so columns 0..top-d
-    give p_d..p_top, times the kernel's scale, with top = min(R, d*m); p
-    is allocated after the transforms, so it never coexists with the
-    weighted rows of a stream.  The largest index sum fills column
-    d(m-1), and both L = `fft_length(d, m)` and the stream's q*M keep
-    every column alias-free.  Every other entry of p is an exact 0.0; so
-    is all of p for an all-zero state, which skips the transforms.  The
-    buffers are fresh per call; `_pin_malloc_thresholds` keeps their
-    pages in the process between calls.
-
-    A split gain's bits differ from the batched shape's by roundoff: it
-    transforms at q*M with twiddles of its own, not at L in one `rfft`.
-    At q = 1 (every d = 2) a streamed gain has the batched bits: a row
-    transformed alone has the bits it has in one call over all rows, and
-    `_fold_class` runs `_cp_fold`'s operations in `_cp_fold`'s order.
-    Every step runs in the calling thread, so the output is bitwise the
-    same for every worker count.
+    All of p is an exact 0.0 for an all-zero state, which skips the
+    transforms.  Buffers are fresh per call (`_pin_malloc_thresholds`
+    keeps their pages), and every step runs in the calling thread, so
+    the output is bitwise the same for every worker count.
     """
     order = _check_pair(kernel, state)
     fibers = kernel.fibers
@@ -604,24 +620,33 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     _pin_malloc_thresholds()
     tt = isinstance(kernel, TTKernel)
     rows = len(fibers)
+    rank = rows // order
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
-    if not tt and convolves_directly(order, rows // order, occupied):
-        return _convolve_rows(fibers, n[:occupied], order, scale, n.size, top)
-    stream = None if tt else stream_lengths(order, rows, occupied)
+    direct = not tt and convolves_directly(order, rank, occupied)
+    first, stride = (1, 1) if direct else state.size_lattice
+    columns = slice(first - 1, occupied, stride)
+    fibers, head = fibers[:, columns], n[columns]
+    count = head.size
+    p = np.zeros(n.size)
+    out = p[order * first - 1 : top : stride]
+    if not tt and convolves_directly(order, rank, count):
+        _convolve_rows(fibers, head, order, scale, out)
+        return p
+    stream = None if tt else stream_lengths(order, rows, count)
     if stream:
-        return _cp_stream(fibers, n[:occupied], order, *stream, scale, n.size, top)
-    length = fft_length(order, occupied)
+        _cp_stream(fibers, head, order, *stream, scale, out, p[:count])
+        return p
+    length = fft_length(order, count)
     real = np.empty((rows, length))
-    real[:, occupied:] = 0.0
+    real[:, count:] = 0.0
     spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
-    np.multiply(fibers[:, :occupied], n[:occupied], out=real[:, :occupied])
+    np.multiply(fibers, head, out=real[:, :count])
     _fft.rfft(real, axis=1, out=spectra)
     folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
     _fft.irfft(folded, n=length, out=real[0])
-    p = np.zeros(n.size)
-    np.multiply(real[0, : top - order + 1], scale, out=p[order - 1 : top])
+    np.multiply(real[0, : out.size], scale, out=out)
     return p
 
 
@@ -748,22 +773,22 @@ def convolved_gain(kernel: CPKernel | SymmetrizedCPKernel, state: ConcentrationS
     if top < order:
         return np.zeros(n.size)
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
-    return _convolve_rows(kernel.fibers, n[:occupied], order, scale, n.size, top)
+    p = np.zeros(n.size)
+    _convolve_rows(kernel.fibers[:, :occupied], n[:occupied], order, scale, p[order - 1 : top])
+    return p
 
 
-def _convolve_rows(fibers, head, order: int, scale: float, size: int, top: int):
-    # p over sizes 1..size: per rank, a chain of `np.convolve` over its d
-    # fiber rows weighted by the occupied sizes' concentrations `head`,
-    # the ranks added in order, index sum k at p[k - 1] for d <= k <= top,
-    # times `scale`; no transform, so every entry is exact to a few ulps,
-    # and an index sum no d occupied sizes reach is an exact 0.0
-    weighted = fibers[:, : head.size] * head
+def _convolve_rows(fibers, head, order: int, scale: float, out) -> None:
+    # per rank, a chain of `np.convolve` over its d fiber rows `fibers`
+    # weighted by the concentrations `head` (the same columns), the ranks
+    # added in order, and the first len(out) columns of the sum, times
+    # `scale`, written into `out`; no transform, so every entry is exact
+    # to a few ulps, and an index sum no d occupied sizes reach is 0.0
+    weighted = fibers * head
     total = reduce(np.convolve, weighted[:order])
     for start in range(order, len(weighted), order):
         np.add(total, reduce(np.convolve, weighted[start : start + order]), out=total)
-    p = np.zeros(size)
-    np.multiply(total[: top - order + 1], scale, out=p[order - 1 : top])
-    return p
+    np.multiply(total[: out.size], scale, out=out)
 
 
 def _cp_fold(spectra, order: int):
@@ -779,13 +804,14 @@ def _cp_fold(spectra, order: int):
     return total
 
 
-def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, slots):
+def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, slots, weighted):
     """`_cp_fold` of bin class s = `shift` of a CP gain's half spectra of
     length L = q * M (q = radix, M = block, `split_lengths`), one fiber
     row at a time: the folded class, in slots[0].
 
-    Each row is weighted by the occupied sizes' concentrations `head`
-    into one (1, m) row x, m <= M, and transformed by one branch of a
+    Each of the (r, m) `fibers` is weighted by the concentrations `head`
+    into the (1, m) row x = `weighted`, m <= M, and transformed by one
+    branch of a
     first decimation-in-frequency step of radix q.  Class s = 0, the
     bins X[q*k], k = 0..M//2, is `rfft(x, n=M)`; class s = 1..(q-1)/2,
     the bins X[q*k + s], k = 0..M-1, is the in-place complex `fft` of
@@ -800,18 +826,17 @@ def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, sl
     spectrum.
     """
     total, row_bins, *later = slots
-    occupied = head.size
-    twiddles = _twiddles(occupied, shift, radix * block, -1.0) if shift else None
-    weighted = np.empty((1, occupied))
+    columns = head.size
+    twiddles = _twiddles(columns, shift, radix * block, -1.0) if shift else None
     for row in range(len(fibers)):
         mode = row % order
         out = row_bins if mode else later[0] if row else total
-        np.multiply(fibers[row : row + 1, :occupied], head, out=weighted)
+        np.multiply(fibers[row : row + 1], head, out=weighted)
         if not shift:
             _fft.rfft(weighted, n=block, axis=1, out=out)
         else:
-            _twist(weighted[0], out[0, :occupied], twiddles)
-            out[:, occupied:] = 0.0
+            _twist(weighted[0], out[0, :columns], twiddles)
+            out[:, columns:] = 0.0
             _fft_c2c(out, axis=1, out=out)
         if not mode:
             product = out[0]
@@ -822,12 +847,13 @@ def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, sl
     return total[0]
 
 
-def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, size, top):
-    """Gain over sizes 1..`size` of an order-d CP kernel whose rows stream
-    (`stream_lengths`): `scale` times the inverse transform of length
-    L = q * M (q = radix, M = block) of the rows' folded half spectrum,
-    index sum k at p[k - 1] for d <= k <= top, formed one bin class at a
-    time by `_fold_class`.
+def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, out, weighted):
+    """Gain of an order-d CP kernel whose rows stream (`stream_lengths`),
+    written into `out`: `scale` times the first len(out) columns of the
+    inverse transform of length L = q * M (q = radix, M = block) of the
+    (r, m) rows' folded half spectrum, formed one bin class at a time by
+    `_fold_class`, which weights each row into `weighted`, m values
+    zeroed before `out` is written: the head of the p `out` views.
 
     With y[n] = (1/L) sum_j Y[j] exp(2 pi i j n / L) and n = t*M + r,
     the bins j = q*k + s give y[n] = (a[r] + sum_s 2 Re(exp(2 pi i s n /
@@ -838,37 +864,36 @@ def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, s
     each c_s in place of its class, then class 0, whose a goes into a
     spent slot below the total.  At full support on D = 3, N = 2^17 (q =
     3, M = 2^17) the gain holds c_1 and one class's slots, 2 MiB each,
-    beside a 1 MiB weighted row and later p.  There (2-core Xeon) an
+    beside p, 1 MiB, whose head is the weighted row.  There (2-core Xeon) an
     `ifft` took 2.5-2.6 ms in place and 3.2-4.1 ms into another row, and
     the `irfft` 1.9 ms below its input and 2.6-2.9 ms written 1 MiB + 16
     bytes above it.  At q = 1 (d = 2) y is `irfft` of length M = L.
     """
-    occupied = head.size
     length = radix * block
     half = block // 2 + 1
-    count = top - order + 1
+    count = out.size
     classes = (radix - 1) // 2
     slots = 2 if len(fibers) == order else 3
     # class s >= 1 folds in rows s - 1.. of 2 * half >= M values and
     # leaves c_s in row s - 1; class 0 folds in half rows above the last
     stride = 2 * half
     spectra = np.empty((classes + slots - 1) * stride if classes else slots * half, np.complex128)
+    weighted = weighted.reshape(1, -1)
     parts = []
     for shift in range(1, classes + 1):
         start = (shift - 1) * stride
         rows = spectra[start : start + slots * stride].reshape(slots, 1, stride)[..., :block]
-        part = _fold_class(fibers, head, order, radix, block, shift, rows)
+        part = _fold_class(fibers, head, order, radix, block, shift, rows, weighted)
         _ifft_c2c(part, out=part)
         part = part[: min(block, count)]
         _twist(part, part, _twiddles(part.size, shift, length, 1.0, 2.0))
         parts.append(part)
     rows = spectra[classes * stride :][: slots * half].reshape(slots, 1, half)
     # the total on top, so the inverse lands below its input
-    total = _fold_class(fibers, head, order, radix, block, 0, rows[::-1])
+    total = _fold_class(fibers, head, order, radix, block, 0, rows[::-1], weighted)
+    weighted[:] = 0.0
     real = rows[0, 0].view(np.float64)[:block]
     _fft.irfft(total, n=block, out=real)
-    p = np.zeros(size)
-    out = p[order - 1 : top]
     for start in range(0, count, block):
         dest = out[start : start + block]
         width = dest.size
@@ -880,7 +905,6 @@ def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, s
             np.add(acc, part[:width].real, out=dest)
             acc = dest
         np.multiply(acc, scale / radix, out=dest)
-    return p
 
 
 def rhs_cp_P(

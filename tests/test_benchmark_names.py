@@ -44,13 +44,7 @@ def test_traced_toy_solution_passes_the_benchmark_checks(monkeypatch):
             "rhs.total",
             "rhs.gain",
             "rhs.loss",
-            "fft.forward",
-            "fft.inverse",
         } <= names
-        # the per-gain FFT figures: every gain of the rank-1 symmetrized CP
-        # form that transforms (a small one convolves directly, as the
-        # first gains of a monodisperse start do) transforms its D fibers
-        # and inverts one combined spectrum
         index = tracing.SpanIndex(tracer.spans)
         gains = index.named("rhs.gain")
         transformed = []
@@ -58,6 +52,16 @@ def test_traced_toy_solution_passes_the_benchmark_checks(monkeypatch):
             kids = [tracer.spans[c] for c in index.children[gain]]
             if any(k[0].startswith("fft.") for k in kids):
                 transformed.append(kids)
+        if name == "brownian4_n15_w2":
+            # a monodisperse order-4 start keeps its state on sizes 1 + 3j,
+            # and at the toy's N every gain's lattice columns convolve
+            # directly: no gain transforms
+            assert gains and not transformed
+            continue
+        # the per-gain FFT figures: every gain of the rank-1 symmetrized CP
+        # form that transforms (a small one convolves directly) transforms
+        # its D fibers and inverts one combined spectrum
+        assert {"fft.forward", "fft.inverse"} <= names
         assert transformed
         for kids in transformed:
             assert sum(k[4]["rows"] for k in kids if k[0] == "fft.forward") == toy.dimension

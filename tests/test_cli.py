@@ -515,8 +515,9 @@ def test_verify_fails_on_a_wrong_direct_gain(tmp_path, monkeypatch, capsys):
     )
     original = ttagg.rhs._convolve_rows
 
-    def skewed(*args):
-        return original(*args) * (1.0 + 1e-6)
+    def skewed(fibers, head, order, scale, out):
+        original(fibers, head, order, scale, out)
+        out *= 1.0 + 1e-6
 
     monkeypatch.setattr(ttagg.rhs, "_convolve_rows", skewed)
     assert cli.main(["verify", "--config", config_path]) == 2
@@ -525,6 +526,43 @@ def test_verify_fails_on_a_wrong_direct_gain(tmp_path, monkeypatch, capsys):
     assert errors["order 3, symmetrized CP"] > cli.VERIFY_TOL
     assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
     assert "verify: FAIL" in out
+
+
+def test_verify_checks_a_lattice_gain_per_order(tmp_path, monkeypatch, capsys):
+    # each order's lattice line runs a gain that transforms its compressed
+    # rows; a lattice lookup that drops the smallest size of a lattice
+    # leaves the full-support lines as they are and fails every lattice line
+    config_path = write_config(
+        tmp_path,
+        N=16,
+        D=4,
+        kernels={
+            "2": {"type": "constant", "D": 2, "c": 0.7},
+            "3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]},
+            "4": {"type": "brownian", "mu": [0.5, -0.5, 0.25, 0.0]},
+        },
+    )
+    assert cli.main(["verify", "--config", config_path]) == 0
+    passed = capsys.readouterr().out
+    original = ttagg.rhs._size_lattice
+
+    def skewed(n, occupied):
+        first, stride = original(n, occupied)
+        return (first + stride, stride) if stride > 1 else (first, stride)
+
+    monkeypatch.setattr(ttagg.rhs, "_size_lattice", skewed)
+    assert cli.main(["verify", "--config", config_path]) == 2
+    failed = capsys.readouterr().out
+    for d in (2, 3, 4):
+        stride, count = max(2, d - 1), cli._batch_check_size(d)
+        size = d * (1 + stride * (count - 1))
+        line = f"order {d}, symmetrized CP on sizes 1 + {stride}j at N = {size}"
+        assert ttagg.rhs.gain_path(constant_symmetrized_cp(1.0, d, size), count) == "batched FFT"
+        for out, bad in ((passed, False), (failed, True)):
+            errors = _verify_errors(out, d)
+            assert (errors.pop(line) > cli.VERIFY_TOL) == bad
+            assert max(errors.values()) <= cli.VERIFY_TOL
+    assert "verify: PASS" in passed and "verify: FAIL" in failed
 
 
 def test_verify_pair_kernel_passes(tmp_path):

@@ -1341,6 +1341,211 @@ def test_symmetrized_loss_keeps_the_bits_of_the_list_formula(order, rank):
 
 
 # ---------------------------------------------------------------------------
+# gains on the state's size lattice
+# ---------------------------------------------------------------------------
+
+_LATTICES = [(first, stride) for first in (1, 2, 3) for stride in (2, 3, 4)]
+_LATTICE_MU = {
+    2: (0.25, -0.25),
+    3: (1 / 3, -1 / 3, 0.0),
+    4: (0.5, -0.5, 0.25, 0.0),
+    5: (0.5, -0.5, 0.25, -0.25, 0.0),
+}
+
+
+def _lattice_state(first, stride, count, order, seed=0, truncated=False):
+    # random concentrations on sizes first + stride*j, j < count, in a
+    # state of d*m sizes, so the whole gain fits, or of 2m - 1 sizes,
+    # which cut it short; m is the last of them
+    occupied = first + stride * (count - 1)
+    n = np.zeros(2 * occupied - 1 if truncated else order * occupied)
+    n[first - 1 : occupied : stride] = np.random.default_rng(seed).uniform(0.1, 1.0, count)
+    return ConcentrationState(n)
+
+
+def _off_the_gain_lattice(state, order, lattice):
+    # sizes that no d sizes of the lattice sum to
+    first, stride = lattice
+    sizes = np.arange(1, state.n_classes + 1)
+    return (sizes < order * first) | ((sizes - order * first) % stride != 0)
+
+
+def _last_direct_count(order, rank):
+    count = 1
+    while ttagg.rhs.convolves_directly(order, rank, count + 1):
+        count += 1
+    return count
+
+
+def _check_lattice_gain(got, ref, state, order, lattice):
+    off = _off_the_gain_lattice(state, order, lattice)
+    assert off.any() and not got[off].any()
+    assert rel_inf(got, ref) <= 1e-12, rel_inf(got, ref)
+
+
+@pytest.mark.parametrize("lattice", _LATTICES, ids=lambda x: f"{x[0]}+{x[1]}Z")
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", ["cp", "symmetrized"])
+def test_cp_gain_on_a_lattice_state_is_exact_zero_off_the_lattice(form, order, rank, lattice):
+    # the J lattice columns decide the path: a few go direct, the last
+    # direct J goes direct though its m would transform, and one more
+    # transforms in one call; each gain, whole or cut short by the
+    # state's length, is the direct convolution of the uncompressed rows,
+    # and an exact 0.0 at every index sum no d lattice sizes reach
+    first, stride = lattice
+    last = _last_direct_count(order, rank)
+    cases = [(4, "direct"), (last, "direct"), (last + 1, "batched FFT")]
+    for (count, path), truncated in product(cases, (False, True)):
+        state = _lattice_state(first, stride, count, order, count, truncated)
+        assert state.size_lattice == lattice
+        occupied = state.occupied_size
+        if count == last:
+            assert not ttagg.rhs.convolves_directly(order, rank, occupied)
+        kernel = _stream_kernel(form, order, rank, state.n_classes)
+        assert ttagg.rhs.gain_path(kernel, count) == path
+        _check_lattice_gain(
+            rhs_cp_P(kernel, state), ttagg.rhs.convolved_gain(kernel, state), state, order, lattice
+        )
+
+
+@pytest.mark.parametrize(
+    "form, order, rank, lattice",
+    [
+        ("symmetrized", 3, 1, (1, 2)),
+        ("cp", 4, 2, (2, 3)),
+        ("cp", 2, 1, (3, 4)),
+        ("symmetrized", 5, 1, (1, 4)),
+    ],
+    ids=str,
+)
+def test_streamed_cp_gain_on_a_lattice_state_is_exact_zero_off_the_lattice(
+    form, order, rank, lattice
+):
+    # the fewest lattice columns whose rows stream, through the split at
+    # d >= 3, in a state of N >= 2^13 sizes
+    first, stride = lattice
+    count = 1 << 9
+    while not _streams(order, rank, count):
+        count += 1
+    state = _lattice_state(first, stride, count, order)
+    assert state.n_classes >= 1 << 13 and state.size_lattice == lattice
+    kernel = _stream_kernel(form, order, rank, state.n_classes)
+    assert ttagg.rhs.gain_path(kernel, count) == "streamed FFT"
+    _check_lattice_gain(
+        rhs_cp_P(kernel, state), ttagg.rhs.convolved_gain(kernel, state), state, order, lattice
+    )
+
+
+@pytest.mark.parametrize("lattice", _LATTICES, ids=lambda x: f"{x[0]}+{x[1]}Z")
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_tt_gain_on_a_lattice_state_is_exact_zero_off_the_lattice(order, lattice):
+    # a TT gain always transforms; its reference is the direct
+    # convolution of the same Brownian kernel's symmetrized CP rows
+    spec = BrownianSpec(_LATTICE_MU[order])
+    first, stride = lattice
+    for count in (1, 4, 40):
+        state = _lattice_state(first, stride, count, order, seed=count)
+        tt = build_brownian_tt(spec, state.n_classes)
+        reference = ttagg.rhs.convolved_gain(
+            brownian_symmetrized_cp(spec, state.n_classes), state
+        )
+        _check_lattice_gain(rhs_tt_P(tt, state), reference, state, order, lattice)
+
+
+def test_size_lattice_detection():
+    def lattice(occupied_sizes, n_classes=16):
+        n = np.zeros(n_classes)
+        n[np.array(occupied_sizes) - 1] = 0.5
+        return ConcentrationState(n).size_lattice
+
+    assert ConcentrationState(np.ones(16)).size_lattice == (1, 1)
+    assert lattice([1, 2, 9]) == (1, 1)
+    assert lattice([1, 4, 7, 10]) == (1, 3)
+    assert lattice([2, 5, 8]) == (2, 3)
+    assert lattice([3, 5, 16]) == (3, 1)
+    # the stride of the two smallest sizes, or 1 when a size is off it
+    assert lattice([1, 4, 5]) == (1, 1)
+    assert lattice([1, 5, 7]) == (1, 1)
+    # one size, or none
+    assert lattice([1]) == (1, 1)
+    assert lattice([6]) == (6, 1)
+    assert ConcentrationState(np.zeros(16)).size_lattice == (1, 1)
+
+
+def test_a_gain_that_convolves_directly_at_m_looks_up_no_lattice(monkeypatch):
+    def refuse(n, occupied):
+        raise AssertionError("lattice looked up")
+
+    monkeypatch.setattr(ttagg.rhs, "_size_lattice", refuse)
+    state = _lattice_state(1, 3, 5, 4)
+    kernel = _stream_kernel("symmetrized", 4, 1, state.n_classes)
+    assert ttagg.rhs.convolves_directly(4, 1, state.occupied_size)
+    rhs_cp_P(kernel, state)
+    with pytest.raises(AssertionError, match="lattice looked up"):
+        rhs_tt_P(build_brownian_tt(BrownianSpec(_LATTICE_MU[4]), state.n_classes), state)
+
+
+def _monodisperse_run(order, n_classes, kernel, dt, steps):
+    # the recorded states of a monodisperse run of one order
+    config = SimulationConfig(
+        n_classes=n_classes,
+        dimension=order,
+        kernel_specs={order: BrownianSpec(_LATTICE_MU[order])},
+        initial=InitialCondition.monodisperse(1.0),
+        time=TimeGrid(0.0, dt, steps),
+        record_every=1,
+    )
+    states = []
+    integrate(config, KernelSet({order: kernel}), on_record=lambda step, s: states.append(s))
+    return states
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_monodisperse_run_keeps_every_size_off_the_lattice_empty(order, monkeypatch):
+    # an order-d collision of sizes on 1 + (d-1)Z lands on it again; the
+    # later stages transform their lattice columns, and every other size
+    # stays an exact 0.0 in every recorded state
+    n_classes = 1 << 12
+    spec = BrownianSpec(_LATTICE_MU[order])
+    transformed = []
+    original = ttagg.rhs._cp_fold
+
+    def counted(spectra, d):
+        transformed.append(spectra.shape)
+        return original(spectra, d)
+
+    monkeypatch.setattr(ttagg.rhs, "_cp_fold", counted)
+    states = _monodisperse_run(order, n_classes, brownian_symmetrized_cp(spec, n_classes), 1e-2, 5)
+    assert transformed
+    off = (np.arange(1, n_classes + 1) - 1) % (order - 1) != 0
+    for state in states:
+        assert not state.n[off].any()
+    assert states[-1].occupied_size > n_classes // 2
+    assert states[-1].size_lattice == (1, order - 1)
+
+
+# a dense D = 4 kernel at N = 64 holds 2^24 coefficients, and its gain
+# copies them and their index sums: a few hundred MB
+_DENSE_RUN_N = {3: 64, 4: 32}
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_monodisperse_lattice_run_matches_a_dense_run(order, monkeypatch):
+    # every gain transforms its lattice columns, none convolves directly
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
+    n_classes = _DENSE_RUN_N[order]
+    spec = BrownianSpec(_LATTICE_MU[order])
+    fast = _monodisperse_run(order, n_classes, brownian_symmetrized_cp(spec, n_classes), 0.05, 12)
+    dense = _monodisperse_run(order, n_classes, dense_from_spec(spec, n_classes), 0.05, 12)
+    assert fast[-1].occupied_size > n_classes // 2
+    for got, ref in zip(fast, dense, strict=True):
+        assert rel_inf(got.n, ref.n) <= 1e-10
+        off = (np.arange(1, n_classes + 1) - 1) % (order - 1) != 0
+        assert not got.n[off].any()
+
+
+# ---------------------------------------------------------------------------
 # kernel set checks and the symmetry probe
 # ---------------------------------------------------------------------------
 
