@@ -36,13 +36,11 @@ from .rhs import (
     FFT_BACKEND,
     ConcentrationState,
     convolved_gain,
-    convolves_directly,
     gain_path,
     rhs_cp_P,
     rhs_dense_P,
     rhs_dense_Q,
     rhs_gain_loss,
-    stream_lengths,
 )
 
 EXIT_OK = 0
@@ -136,19 +134,18 @@ def _run_verification(config, seed: int | None = None) -> int:
 
     The dense oracle fits only small N, where a small CP gain convolves
     its rows directly and a larger one transforms them in one call; so
-    each analytic order also runs its symmetrized CP gain on one random
-    full-support state at `_batch_check_size`, where a rank-1 gain
-    transforms its rows in one call, and at `_stream_check_size`, where
-    it streams them through the split, against the direct convolution
-    (`rhs.convolved_gain`, which uses no FFT; two more lines per order).
-    So the direct, batched and streamed paths are checked at any N.
-
-    A last line per analytic order runs its symmetrized CP gain on a
-    random state on the sizes 1 + s*j, with s = d - 1 (the sizes a
-    monodisperse start reaches) or 2 at d = 2, whose J lattice columns
-    are `_batch_check_size` many, so the gain transforms its compressed
-    rows (`rhs._fft_gain`).  It is held to `rhs.convolved_gain` over the
-    uncompressed rows, which is an exact 0.0 off the gain's lattice."""
+    each analytic order also runs its symmetrized CP gain against the
+    direct convolution (`rhs.convolved_gain`, which uses no FFT) on three
+    more random states, one line each: two occupy every size, at the
+    smallest N where a rank-1 gain takes the "batched FFT" and the
+    "streamed FFT" path (`_check_size`), and one the sizes 1 + s*j, with s
+    = d - 1 (the sizes a monodisperse start reaches) or 2 at d = 2, on as
+    many lattice columns as the batched state has sizes, so the gain
+    transforms its compressed rows; its reference convolves the
+    uncompressed rows, which is an exact 0.0 off the gain's lattice.  Each
+    of these lines, too, names the path its gain ran, so the direct,
+    batched and streamed paths are checked at any N, and a check that
+    stops running its path shows it."""
     if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
         print(
             f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
@@ -188,33 +185,29 @@ def _run_verification(config, seed: int | None = None) -> int:
                 err_p = max(err_p, _rel_inf(got_p, ref_p))
                 err_q = max(err_q, _rel_inf(got_q, ref_q))
             worst = max(worst, err_p, err_q)
-            paths = dict.fromkeys(gain_path(kernel, s.occupied_size) for s in states)
+            paths = dict.fromkeys(gain_path(kernel, s) for s in states)
             print(
                 f"order {d}, {name}: max relative error "
                 f"P = {err_p:.3e}, Q = {err_q:.3e} (gain: {', '.join(paths)})"
             )
-        checks = (("batched", _batch_check_size(d)), ("streamed", _stream_check_size(d)))
-        for path, size in checks:
+        batch, stride = _check_size(d, "batched FFT"), max(2, d - 1)
+        occupied = 1 + stride * (batch - 1)
+        checks = (
+            ("batched", batch, slice(None)),
+            ("streamed", _check_size(d, "streamed FFT"), slice(None)),
+            (f"on sizes 1 + {stride}j", d * occupied, slice(0, occupied, stride)),
+        )
+        for label, size, sizes in checks:
             kernel = symmetrized(size)
-            wide = ConcentrationState(rng.random(size))
-            err = _rel_inf(rhs_cp_P(kernel, wide), convolved_gain(kernel, wide))
+            values = np.zeros(size)
+            values[sizes] = rng.random(values[sizes].size)
+            state = ConcentrationState(values)
+            err = _rel_inf(rhs_cp_P(kernel, state), convolved_gain(kernel, state))
             worst = max(worst, err)
             print(
-                f"order {d}, symmetrized CP {path} at N = {size}: max relative "
-                f"error P = {err:.3e} against direct convolution"
+                f"order {d}, symmetrized CP {label} at N = {size}: max relative error "
+                f"P = {err:.3e} against direct convolution (gain: {gain_path(kernel, state)})"
             )
-        stride, count = max(2, d - 1), _batch_check_size(d)
-        occupied = 1 + stride * (count - 1)
-        kernel = symmetrized(d * occupied)
-        values = np.zeros(d * occupied)
-        values[:occupied:stride] = rng.random(count)
-        sparse = ConcentrationState(values)
-        err = _rel_inf(rhs_cp_P(kernel, sparse), convolved_gain(kernel, sparse))
-        worst = max(worst, err)
-        print(
-            f"order {d}, symmetrized CP on sizes 1 + {stride}j at N = {d * occupied}: "
-            f"max relative error P = {err:.3e} against direct convolution"
-        )
     if worst <= VERIFY_TOL:
         print(f"verify: PASS (all errors <= {VERIFY_TOL:.1e})")
         return EXIT_OK
@@ -230,23 +223,16 @@ def cmd_verify(config_path: str, seed: int | None = None,
     return _run_verification(config, seed)
 
 
-def _batch_check_size(order: int) -> int:
-    # the smallest N at which a rank-1 gain of this order transforms its
-    # rows at full support (`rhs.convolves_directly`): N = 236, 131, 89
-    # and 65 for d = 2..5, where it transforms them in one call
-    size = 1
-    while convolves_directly(order, 1, size):
-        size += 1
-    return size
-
-
-def _stream_check_size(order: int) -> int:
-    # the smallest N = 8192 + 1024 j at which a rank-1 gain of this order
-    # streams its rows at full support, through its split for d >= 3
-    # (`rhs.stream_lengths`): N = 9216 for d = 2 and 8192 for d = 3..5
-    size = 1 << 13
-    while stream_lengths(order, order, size) is None:
-        size += 1 << 10
+def _check_size(order: int, path: str) -> int:
+    # the smallest N at which a rank-1 gain of this order on a state that
+    # occupies every size takes `path` (`gain_path`): "batched FFT" at N =
+    # 236, 131, 89 and 65 for d = 2..5; "streamed FFT", searched on N = 8192
+    # + 1024 j, at N = 9216 for d = 2 and 8192 for d = 3..5, which split
+    # their transforms
+    size, step = (2, 1) if path == "batched FFT" else (1 << 13, 1 << 10)
+    rank_one = partial(constant_symmetrized_cp, 1.0, order)
+    while gain_path(rank_one(size), ConcentrationState(np.ones(size))) != path:
+        size += step
     return size
 
 

@@ -269,7 +269,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"time grid is missing {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid time grid: {exc}") from None
 
     verify_oracle = data.get("verify_oracle", False)

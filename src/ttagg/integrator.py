@@ -62,6 +62,14 @@ class TimeGrid:
             raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # each step adds dt to t, so t grows at every step only if dt moves
+        # the t of largest magnitude the run reaches, which is inf when the
+        # end overflows; a step count too large for a float raises
+        # OverflowError here
+        end = self.t0 + self.steps * self.dt
+        far = max(self.t0, end, key=abs)
+        if not math.isfinite(end) or far + self.dt == far:
+            raise ValueError(f"dt = {self.dt!r} does not advance t at t = {far!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -480,7 +480,15 @@ def _load_table(path: str, dimension: int, n_classes: int) -> np.ndarray:
     if not os.path.exists(path):
         raise KernelError(f"kernel table file not found: {path}")
     if os.path.getsize(path) == expected * 8:
-        flat = np.fromfile(path, dtype="<f8")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # bytes that are all number text are not taken for doubles
+        if not data.translate(None, b"0123456789+-.eE \t\r\n"):
+            raise KernelError(
+                f"kernel table {path} reads as {expected} binary doubles or as number "
+                "text; a text table needs one more byte of whitespace"
+            )
+        flat = np.frombuffer(data, dtype="<f8")
     else:
         try:
             flat = np.loadtxt(path, dtype=np.float64).ravel()

@@ -1,19 +1,14 @@
 """Execution plans for the right-hand-side paths, and the scaling harness.
 
 An `ExecutionPlan` carries a worker count, and no right-hand side reads
-it: a gain transforms its fiber rows with `numpy.fft`, which has no
-thread option, in the calling thread and in buffers it allocates per
-call (all rows in one call, or, for a CP gain whose rows exceed
-`rhs._BATCH_BYTES`, one m-column row at a time, split into transforms
-of length M ~ m that are folded and inverted one bin class at a time),
-a small CP gain convolves its rows with `np.convolve` (below
-`rhs.convolves_directly`'s bound), and a loss takes its two
-matrix-vector products, all in the calling thread.  Every worker count therefore gives the same bits and, up to
-noise, the same time as one worker: the acceptance suite's scaling
-problem (D = 3, N = 2^17, timed by `run_scaling_benchmark` below) ran
-0.90-1.12x at 4 workers against 1 in four runs on a 2-core Xeon.  The
-count is still accepted because the CLI, the config and the benchmark
-harness pass it.
+it: a gain runs the path `rhs.gain_path` picks with `numpy.fft`, which
+has no thread option, or `np.convolve`, and a loss takes its two
+matrix-vector products, all in the calling thread.  Every worker count
+therefore gives the same bits and, up to noise, the same time as one
+worker: the acceptance suite's scaling problem (D = 3, N = 2^17, timed
+by `run_scaling_benchmark` below) ran 0.90-1.12x at 4 workers against 1
+in four runs on a 2-core Xeon.  The count is still accepted because the
+CLI, the config and the benchmark harness pass it.
 """
 
 from __future__ import annotations
@@ -37,9 +32,7 @@ class ExecutionPlan:
 
     `workers` is validated and kept, but no right-hand side reads it:
     every step of a gain and a loss runs in the calling thread, so results
-    are bitwise equal for every worker count.  A gain's transform length
-    is `rhs.fft_length` of its order and state, or, for a streamed CP
-    gain, q * M from `rhs.stream_lengths`.
+    are bitwise equal for every worker count.
 
     `fft_length_policy` has one accepted value, "fast".  The field stays
     only because the benchmark harness passes it through from the config.

@@ -4,28 +4,26 @@ For each collision order d the gain vector collects, with weight 1/d!,
 all d-tuples of sizes summing to k; the loss vector drains size k in
 proportion to its concentration and the (d-1)-fold contraction of the
 kernel with the state, weighted 1/(d-1)!.  Dense implementations cost
-O(m**d) and serve as ground truth; the tensor-train and CP paths push
-the gain through one shared FFT scaffold (`_fft_gain`: the kernel's own
-fiber rows, weighted with size i stored at slot i-1 and zero-padded to
-an alias-free length L of at least d(m-1) + 1, in buffers allocated per
-call; a gain transforms all its rows in one call, except a CP gain
-whose real rows exceed `_BATCH_BYTES`, as at full support, which
-streams them one m-column row at a time, splits a long transform into
-transforms of length M ~ m (radix q, L = q*M), and folds and inverts
-one class of q bins at a time, so it holds no real row of length L
-and no whole half spectrum) and the loss through two matrix-vector
-products with the same fiber rows, for O(m log m) work per rank pair.
-A small CP gain, below the work bound of `convolves_directly`, is no
-transform at all: each rank's d weighted rows convolve directly
-(`np.convolve`), which costs less than the transforms' fixed cost and
-is exact to a few ulps in every component, where an FFT's roundoff is
-relative to the largest entry of p.
+O(m**d) and serve as ground truth.  A tensor-train or CP gain runs the
+path `gain_path` picks from the kernel and the state (`_fft_gain`): a
+small CP gain convolves each rank's d weighted fiber rows directly
+(`np.convolve`), which costs less than a transform's fixed cost and is
+exact to a few ulps in every component, where an FFT's roundoff is
+relative to the largest entry of p; every other gain transforms the
+kernel's own fiber rows, weighted with size i stored at slot i-1 and
+zero-padded to an alias-free length L of at least d(m-1) + 1, in
+buffers allocated per call, all rows in one call or, for a CP gain too
+large for one, streamed one row at a time through transforms of length
+M ~ m (radix q, L = q*M), folded and inverted one class of q bins at a
+time, so it holds no real row of length L and no whole half spectrum.
+The loss takes two matrix-vector products with the same fiber rows, for
+O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
 above m contribute nothing, so every path reads sizes 1..m only and
 returns exact zeros where the sums are empty (gain above min(R, d*m),
 loss above m).  A gain not direct at m reads only the sizes of the
-state's lattice first + stride*j (`ConcentrationState.size_lattice`),
-and every other size of p is an exact zero.
+state's lattice first + stride*j (`gain_path`), and every other size of
+p is an exact zero.
 
 Every operator takes a state over sizes 1..R for any R <= the kernel's
 N, treats the sizes above R as empty, and returns vectors over 1..R:
@@ -537,73 +535,72 @@ def convolves_directly(order: int, rank: int, occupied: int) -> bool:
     return calls * (per_call + _CONVOLVE_CALL) <= _DIRECT_WORK
 
 
-def gain_path(kernel, occupied: int) -> str:
+def gain_path(kernel, state: ConcentrationState) -> str:
     """How `_fft_gain` computes the gain of a TT, CP or symmetrized CP
-    kernel on a state with occupied size m >= 1: "direct"
-    (`convolves_directly`), "batched FFT" (every row in one transform
-    call) or "streamed FFT" (`stream_lengths`).  TT gains always
-    transform.  On a state off full support pass the J columns of its
-    size lattice: a gain direct at m is direct at J <= m too."""
-    order = kernel.dimension
-    rows = len(kernel.fibers)
-    if isinstance(kernel, TTKernel):
-        return "batched FFT"
-    if convolves_directly(order, rows // order, occupied):
-        return "direct"
-    return "batched FFT" if stream_lengths(order, rows, occupied) is None else "streamed FFT"
+    kernel of order d with r fiber rows on `state`: "direct", "batched
+    FFT" or "streamed FFT".  This is the one rule for a gain's path and
+    the sizes it reads, with m the state's occupied size.
 
-
-def stream_lengths(order: int, rows: int, occupied: int) -> tuple[int, int] | None:
-    """(q, M) of an order-d CP gain with `rows` fiber rows on a state with
-    occupied size m that streams its rows, or None for one that
-    transforms them in one call at L = `fft_length(d, m)`.
-
-    A gain streams when its real rows of length L take more than
-    `_BATCH_BYTES`, and then splits its transform by `split_lengths`
-    (q = 1 and M = L at d = 2).
+    A CP gain direct at m (`convolves_directly`) is "direct" on sizes
+    1..m and looks up no lattice.  Every other gain reads the J = (m -
+    first) // stride + 1 sizes first + stride*j of the state's lattice
+    (`ConcentrationState.size_lattice`; J = m at full support), and J
+    decides: a TT gain is "batched FFT"; a CP gain is "direct" if
+    `convolves_directly` at J, "batched FFT" if its r real rows of
+    length `fft_length(d, J)` take at most `_BATCH_BYTES`, and otherwise
+    "streamed FFT", split by `split_lengths`.  A gain direct at m is
+    direct at J <= m too, so the first test only spares the lattice scan.
     """
-    if 8 * fft_length(order, occupied) * rows <= _BATCH_BYTES:
-        return None
-    return split_lengths(order, occupied)
+    return _gain_rule(kernel, state)[0]
+
+
+def _gain_rule(kernel, state: ConcentrationState):
+    # `gain_path`'s rule: the path, and the lattice (first, stride) whose
+    # columns the gain reads, (1, 1) for a gain direct at m
+    order, rows, occupied = kernel.dimension, len(kernel.fibers), state.occupied_size
+    cp = not isinstance(kernel, TTKernel)
+    if cp and convolves_directly(order, rows // order, occupied):
+        return "direct", (1, 1)
+    first, stride = state.size_lattice
+    count = (occupied - first) // stride + 1
+    if cp and convolves_directly(order, rows // order, count):
+        return "direct", (first, stride)
+    streams = cp and 8 * fft_length(order, count) * rows > _BATCH_BYTES
+    return "streamed FFT" if streams else "batched FFT", (first, stride)
 
 
 def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
-    """Truncated order-d gain of a TT, CP or symmetrized CP kernel by FFT,
-    or, for a small CP gain, by direct convolution.
+    """Truncated order-d gain of a TT, CP or symmetrized CP kernel on the
+    path `gain_path` picks, by FFT or by direct convolution.
 
     The kernel's (r, N) `fibers` are read in place; the state covers
-    sizes 1..R, R <= N, and only its occupied sizes 1..m enter.  A CP
-    gain direct at m (`convolves_directly`) looks up nothing more.
-    Every other gain reads the J = (m - first) // stride + 1 columns
-    first-1:m:stride of its rows and of n, where every nonzero size is
-    first + stride*j (`ConcentrationState.size_lattice`; J = m at full
-    support, (1, 1)), and writes their d-fold convolution, index sum
+    sizes 1..R, R <= N, and only its occupied sizes 1..m enter.  The gain
+    reads the J = (m - first) // stride + 1 columns first-1:m:stride of
+    its rows and of n, with (first, stride) from the rule ((1, 1) for a
+    gain direct at m), and writes their d-fold convolution, index sum
     d*first + stride*c at column c, into p[d*first-1:top:stride], top =
-    min(R, d*m); every other entry of p is an exact 0.0.  J decides all
-    below, where m means J.
+    min(R, d*m); every other entry of p is an exact 0.0.  Below, m means
+    J.
 
-    A CP gain direct at J convolves each rank's d weighted rows in mode
-    order (`_convolve_rows`), adds the ranks in order and scales: each
-    entry is exact to a few ulps, not the FFT's bits.  A TT gain always
-    transforms.  Otherwise, in an (r, L) array `real`, padding columns
-    m..L-1 zeroed, and an (r, L // 2 + 1) array `spectra`: (1) weight
-    the m columns of every row in one broadcast product; (2) transform
-    all rows in one call; (3) `_tt_fold` or `_cp_fold` combines the
-    spectra in place; (4) invert into real row 0; (5) its first
-    len(view) columns times the kernel's scale fill the view.  The
-    largest column is d(m-1), and L = `fft_length(d, m)` keeps it
-    alias-free.
+    "direct" convolves each rank's d weighted rows in mode order
+    (`_convolve_rows`), adds the ranks in order and scales: each entry is
+    exact to a few ulps, not the FFT's bits.  "batched FFT" works in an
+    (r, L) array `real`, padding columns m..L-1 zeroed, and an (r, L // 2
+    + 1) array `spectra`: (1) weight the m columns of every row in one
+    broadcast product; (2) transform all rows in one call; (3) `_tt_fold`
+    or `_cp_fold` combines the spectra in place; (4) invert into real row
+    0; (5) its first len(view) columns times the kernel's scale fill the
+    view.  The largest column is d(m-1), and L = `fft_length(d, m)` keeps
+    it alias-free.
 
-    A CP gain whose r real rows of length L take more than `_BATCH_BYTES`
-    streams instead (`stream_lengths`): `_cp_stream` splits the
-    transform at q*M into one real and (q-1)/2 complex transforms of
-    length M ~ m (`split_lengths`; at d = 2, q = 1 and M = L), one per
-    class of bins, weights each row in the head of p, and folds and
-    inverts each class before the next, holding no real row of length
-    L: at full support on D = 3, N = 2^17 (q = 3, M = 2^17) two 2 MiB
-    class rows and p, 1 MiB.  Its bits differ from the batched shape's
-    by roundoff, except at q = 1, where `_fold_class` runs `_cp_fold`'s
-    operations in its order.
+    "streamed FFT" runs `_cp_stream`, which splits the transform at q*M
+    into one real and (q-1)/2 complex transforms of length M ~ m
+    (`split_lengths`; at d = 2, q = 1 and M = L), one per class of bins,
+    weights each row in the head of p, and folds and inverts each class
+    before the next, holding no real row of length L: at full support on
+    D = 3, N = 2^17 (q = 3, M = 2^17) two 2 MiB class rows and p, 1 MiB.
+    Its bits differ from the batched shape's by roundoff, except at q =
+    1, where `_fold_class` runs `_cp_fold`'s operations in its order.
 
     All of p is an exact 0.0 for an all-zero state, which skips the
     transforms.  Buffers are fresh per call (`_pin_malloc_thresholds`
@@ -611,39 +608,35 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     the output is bitwise the same for every worker count.
     """
     order = _check_pair(kernel, state)
-    fibers = kernel.fibers
     n = state.n
     occupied = state.occupied_size
     top = min(n.size, order * occupied)
     if top < order:
         return np.zeros(n.size)
     _pin_malloc_thresholds()
-    tt = isinstance(kernel, TTKernel)
-    rows = len(fibers)
-    rank = rows // order
+    path, (first, stride) = _gain_rule(kernel, state)
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
-    direct = not tt and convolves_directly(order, rank, occupied)
-    first, stride = (1, 1) if direct else state.size_lattice
     columns = slice(first - 1, occupied, stride)
-    fibers, head = fibers[:, columns], n[columns]
+    fibers, head = kernel.fibers[:, columns], n[columns]
     count = head.size
     p = np.zeros(n.size)
     out = p[order * first - 1 : top : stride]
-    if not tt and convolves_directly(order, rank, count):
+    if path == "direct":
         _convolve_rows(fibers, head, order, scale, out)
         return p
-    stream = None if tt else stream_lengths(order, rows, count)
-    if stream:
-        _cp_stream(fibers, head, order, *stream, scale, out, p[:count])
+    if path == "streamed FFT":
+        _cp_stream(fibers, head, order, *split_lengths(order, count), scale, out, p[:count])
         return p
+    rows = len(fibers)
     length = fft_length(order, count)
     real = np.empty((rows, length))
     real[:, count:] = 0.0
     spectra = np.empty((rows, length // 2 + 1), dtype=np.complex128)
     np.multiply(fibers, head, out=real[:, :count])
     _fft.rfft(real, axis=1, out=spectra)
+    tt = isinstance(kernel, TTKernel)
     folded = _tt_fold(spectra, kernel.ranks) if tt else _cp_fold(spectra, order)
     _fft.irfft(folded, n=length, out=real[0])
     np.multiply(real[0, : out.size], scale, out=out)
@@ -763,8 +756,8 @@ def rhs_tt_Q(
 
 def convolved_gain(kernel: CPKernel | SymmetrizedCPKernel, state: ConcentrationState) -> np.ndarray:
     """Gain of a CP or symmetrized CP kernel by direct convolution, whatever
-    its size: the path `_fft_gain` takes below `convolves_directly`, and
-    the FFT-free reference `ttagg verify` holds the transformed gains to.
+    its size: the "direct" path of `gain_path` over sizes 1..m, and the
+    FFT-free reference `ttagg verify` holds the transformed gains to.
     """
     order = _check_pair(kernel, state)
     n = state.n
@@ -848,7 +841,7 @@ def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, sl
 
 
 def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, out, weighted):
-    """Gain of an order-d CP kernel whose rows stream (`stream_lengths`),
+    """Gain of an order-d CP kernel whose rows stream (`gain_path`),
     written into `out`: `scale` times the first len(out) columns of the
     inverse transform of length L = q * M (q = radix, M = block) of the
     (r, m) rows' folded half spectrum, formed one bin class at a time by

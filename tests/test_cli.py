@@ -13,7 +13,7 @@ import ttagg
 import ttagg.cli as cli
 import ttagg.rhs
 from ttagg.kernels import SymmetrizedCPKernel, TTKernel, constant_symmetrized_cp
-from ttagg.rhs import KernelSet
+from ttagg.rhs import ConcentrationState, KernelSet
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -289,6 +289,47 @@ def test_table_with_a_non_finite_coefficient_is_a_validation_error(
         assert err.startswith("error: ") and str(table_path) in err
 
 
+def test_text_table_of_the_binary_size_is_a_validation_error(tmp_path, capsys):
+    # 32 bytes of number text are also the size of N^D = 4 doubles; read
+    # as binary they make a kernel of about 1e-76 and a run with no
+    # aggregation, so the file is refused, and one more byte of
+    # whitespace makes it a text table
+    table_path = tmp_path / "pair_rates.txt"
+    table_path.write_text("1.000000 2.00000 2.00000 4.0000\n")
+    assert table_path.stat().st_size == 4 * 8
+    config_path = write_config(
+        tmp_path,
+        N=2,
+        kernels={"2": {"type": "table", "D": 2, "table_path": str(table_path)}},
+        time={"t0": 0.0, "dt": 0.01, "steps": 20},
+    )
+    for command in ("simulate", "verify"):
+        assert cli.main([command, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert str(table_path) in err
+        assert "text" in err and "binary" in err and "whitespace" in err
+    table_path.write_text("1.000000 2.00000 2.00000 4.0000 \n")
+    assert cli.main(["simulate", "--config", config_path]) == 0
+    _, rows = read_moments(tmp_path / "out" / "moments.csv")
+    assert rows[-1][1] == pytest.approx(0.8888, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "time",
+    [{"t0": 1e6, "dt": 1e-11, "steps": 3}, {"t0": 1e308, "dt": 1e307, "steps": 30}],
+    ids=["dt-below-t-ulp", "end-overflows"],
+)
+def test_time_grid_that_cannot_advance_t_is_refused_before_any_output(
+    tmp_path, capsys, time
+):
+    # t0 + dt == t0 left t in place: simulate wrote n_0.csv and then
+    # failed on the moment records
+    config_path = write_config(tmp_path, time=time)
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid time grid: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     config_path = write_config(
@@ -397,14 +438,17 @@ def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, caps
     assert cli.main(["verify", "--config", config_path, "--seed", "6"]) == 0
     out = capsys.readouterr().out
     for d in (2, 3):
-        size = cli._stream_check_size(d)
+        size = cli._check_size(d, "streamed FFT")
         line = f"order {d}, symmetrized CP streamed at N = {size}: max relative error P = "
         assert line in out
-        # a rank-1 gain streams there, through its split
-        radix, block = ttagg.rhs.split_lengths(d, size)
-        assert ttagg.rhs.stream_lengths(d, d, size) == (radix, block)
-        assert radix == (1 if d == 2 else 3)
-    assert [cli._stream_check_size(d) for d in (2, 3, 4, 5)] == [9216, 8192, 8192, 8192]
+        # a rank-1 gain streams there, through its split, and the line says so
+        line = next(x for x in out.splitlines() if x.startswith(line))
+        assert line.endswith("(gain: streamed FFT)")
+        kernel = constant_symmetrized_cp(1.0, d, size)
+        assert ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size))) == "streamed FFT"
+        assert ttagg.rhs.split_lengths(d, size)[0] == (1 if d == 2 else 3)
+    sizes = [cli._check_size(d, "streamed FFT") for d in (2, 3, 4, 5)]
+    assert sizes == [9216, 8192, 8192, 8192]
     assert "verify: PASS" in out
 
 
@@ -459,12 +503,15 @@ def test_verify_checks_a_batched_gain_and_names_each_path(tmp_path, capsys):
         assert line.endswith("(gain: direct)")
         line = next(x for x in out.splitlines() if x.startswith(f"order {d}, constructive TT:"))
         assert line.endswith("(gain: batched FFT)")
-        size = cli._batch_check_size(d)
-        assert f"order {d}, symmetrized CP batched at N = {size}: max relative error P = " in out
+        size = cli._check_size(d, "batched FFT")
+        line = f"order {d}, symmetrized CP batched at N = {size}: max relative error P = "
+        line = next(x for x in out.splitlines() if x.startswith(line))
+        assert line.endswith("(gain: batched FFT)")
         kernel = constant_symmetrized_cp(1.0, d, size)
-        assert ttagg.rhs.gain_path(kernel, size) == "batched FFT"
-        assert ttagg.rhs.gain_path(kernel, size - 1) == "direct"
-    assert [cli._batch_check_size(d) for d in (2, 3, 4, 5)] == [236, 131, 89, 65]
+        assert ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size))) == "batched FFT"
+        full = ConcentrationState(np.ones(size - 1))
+        assert ttagg.rhs.gain_path(kernel, full) == "direct"
+    assert [cli._check_size(d, "batched FFT") for d in (2, 3, 4, 5)] == [236, 131, 89, 65]
     assert "verify: PASS" in out
 
 
@@ -544,6 +591,18 @@ def test_verify_checks_a_lattice_gain_per_order(tmp_path, monkeypatch, capsys):
     )
     assert cli.main(["verify", "--config", config_path]) == 0
     passed = capsys.readouterr().out
+    lines = {}
+    for d in (2, 3, 4):
+        stride, count = max(2, d - 1), cli._check_size(d, "batched FFT")
+        occupied = 1 + stride * (count - 1)
+        size = d * occupied
+        lines[d] = f"order {d}, symmetrized CP on sizes 1 + {stride}j at N = {size}"
+        values = np.zeros(size)
+        values[:occupied:stride] = 1.0
+        kernel = constant_symmetrized_cp(1.0, d, size)
+        assert ttagg.rhs.gain_path(kernel, ConcentrationState(values)) == "batched FFT"
+        line = next(x for x in passed.splitlines() if x.startswith(f"{lines[d]}: "))
+        assert line.endswith("(gain: batched FFT)")
     original = ttagg.rhs._size_lattice
 
     def skewed(n, occupied):
@@ -554,13 +613,9 @@ def test_verify_checks_a_lattice_gain_per_order(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--config", config_path]) == 2
     failed = capsys.readouterr().out
     for d in (2, 3, 4):
-        stride, count = max(2, d - 1), cli._batch_check_size(d)
-        size = d * (1 + stride * (count - 1))
-        line = f"order {d}, symmetrized CP on sizes 1 + {stride}j at N = {size}"
-        assert ttagg.rhs.gain_path(constant_symmetrized_cp(1.0, d, size), count) == "batched FFT"
         for out, bad in ((passed, False), (failed, True)):
             errors = _verify_errors(out, d)
-            assert (errors.pop(line) > cli.VERIFY_TOL) == bad
+            assert (errors.pop(lines[d]) > cli.VERIFY_TOL) == bad
             assert max(errors.values()) <= cli.VERIFY_TOL
     assert "verify: PASS" in passed and "verify: FAIL" in failed
 

@@ -368,6 +368,17 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1e-3, 0)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.0, 10)
+    # one step of dt must move t at the largest |t| the run reaches
+    with pytest.raises(ValueError, match="does not advance"):
+        TimeGrid(1e6, 1e-11, 3)
+    with pytest.raises(ValueError, match="does not advance"):
+        TimeGrid(-1e6, 1e-11, 3)
+    with pytest.raises(ValueError, match="does not advance"):
+        TimeGrid(0.0, 1e-11, 2**60)  # ends at about 1.2e7
+    with pytest.raises(ValueError, match="at t = inf"):
+        TimeGrid(1e308, 1e307, 30)
+    TimeGrid(1e6, 1e-9, 3)
+    TimeGrid(-1e-300, 1e-310, 3)
 
 
 def test_ternary_brownian_mass_stays_on_the_grid():

@@ -11,8 +11,9 @@ import ttagg.parallel
 import ttagg.rhs
 from ttagg.config import SimulationConfig
 from ttagg.integrator import InitialCondition, TimeGrid
-from ttagg.kernels import BrownianSpec, KernelError
+from ttagg.kernels import BrownianSpec, KernelError, constant_symmetrized_cp
 from ttagg.parallel import ExecutionPlan, run_scaling_benchmark
+from ttagg.rhs import ConcentrationState
 
 
 def test_execution_plan_validation_and_fft_lengths():
@@ -109,18 +110,27 @@ def test_split_lengths_pins():
     assert split(2, 1 << 17) == (1, ttagg.rhs.fft_length(2, 1 << 17))
 
 
-def test_stream_lengths_pins():
-    # batched up to 256 KiB of real rows, streamed through the split above
-    lengths = ttagg.rhs.stream_lengths
-    assert lengths(3, 3, 1 << 11) is None  # 3 rows of 48 KiB
-    assert lengths(3, 3, 1 << 13) == (3, 1 << 13)  # 3 rows of 192 KiB
-    assert lengths(3, 3, 1 << 14) == (3, 1 << 14)
-    assert lengths(5, 5, 1 << 13) == (5, 1 << 13)
-    assert lengths(3, 3, 1 << 17) == (3, 1 << 17)  # brownian3_n17
-    assert lengths(4, 4, 1 << 15) == (3, 43740)
-    assert lengths(2, 2, 1 << 17) == (1, 1 << 18)
-    assert lengths(4, 4, 64) is None  # brownian4_n15_w2 stays batched
-    assert lengths(4, 4, 1024) is None
+def test_gain_path_pins():
+    # a rank-1 CP gain on a state that occupies every size: batched up to
+    # 256 KiB of real rows, streamed through the split above
+    def path(order, size):
+        kernel = constant_symmetrized_cp(1.0, order, size)
+        return ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size)))
+
+    split = ttagg.rhs.split_lengths
+    assert path(3, 1 << 11) == "batched FFT"  # 3 rows of 48 KiB
+    assert path(3, 1 << 13) == "streamed FFT"  # 3 rows of 192 KiB
+    assert split(3, 1 << 13) == (3, 1 << 13)
+    assert path(3, 1 << 14) == "streamed FFT" and split(3, 1 << 14) == (3, 1 << 14)
+    assert path(5, 1 << 13) == "streamed FFT" and split(5, 1 << 13) == (5, 1 << 13)
+    # brownian3_n17
+    assert path(3, 1 << 17) == "streamed FFT" and split(3, 1 << 17) == (3, 1 << 17)
+    assert path(4, 1 << 15) == "streamed FFT" and split(4, 1 << 15) == (3, 43740)
+    assert path(2, 1 << 17) == "streamed FFT" and split(2, 1 << 17) == (1, 1 << 18)
+    # brownian4_n15_w2 convolves directly at 64 columns and transforms
+    # its rows in one call at 1024
+    assert path(4, 64) == "direct"
+    assert path(4, 1024) == "batched FFT"
 
 
 def test_run_blocked_covers_range_without_overlap():

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from bisect import bisect_left
 from functools import reduce
 from itertools import product
 
@@ -1042,9 +1043,11 @@ def _stream_state(which):
     return ConcentrationState(n)
 
 
-def _streams(order, rank, occupied):
-    # the rule `_fft_gain` streams a CP gain's rows by
-    return ttagg.rhs.stream_lengths(order, order * rank, occupied) is not None
+def _cp_path(order, rank, state):
+    # the path `gain_path` picks for an order-d CP gain of `rank` ranks on
+    # `state`; the rule reads the kernel's order, rows and form only
+    kernel = CPKernel(tuple(np.ones((state.n_classes, rank)) for _ in range(order)))
+    return ttagg.rhs.gain_path(kernel, state)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -1058,10 +1061,10 @@ def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank, 
     monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     kernel = _stream_kernel(form, order, rank)
     for which, (_, occupied) in _STREAM_STATES.items():
-        lengths = ttagg.rhs.stream_lengths(order, order * rank, occupied)
-        if lengths is not None and lengths[0] > 1:
-            continue
         state = _stream_state(which)
+        path = ttagg.rhs.gain_path(kernel, state)
+        if path == "streamed FFT" and ttagg.rhs.split_lengths(order, occupied)[0] > 1:
+            continue
         np.testing.assert_array_equal(
             rhs_cp_P(kernel, state), _batched_cp_gain(kernel, state), err_msg=which
         )
@@ -1077,29 +1080,31 @@ def test_streamed_cp_gain_matches_direct_convolution_to_roundoff(form, order, ra
     # a streamed gain keeps the batched bits
     kernel = _stream_kernel(form, order, rank)
     for which, (size, occupied) in _STREAM_STATES.items():
-        lengths = ttagg.rhs.stream_lengths(order, order * rank, occupied)
-        if lengths is None:
-            continue
         state = _stream_state(which)
+        if ttagg.rhs.gain_path(kernel, state) != "streamed FFT":
+            continue
         got, expected = rhs_cp_P(kernel, state), _convolved_cp_gain(kernel, state)
         assert rel_inf(got, expected) <= 1e-12, which
         assert np.all(got[min(size, order * occupied) :] == 0.0), which
-        if lengths[0] == 1:
+        if ttagg.rhs.split_lengths(order, occupied)[0] == 1:
             np.testing.assert_array_equal(got, _batched_cp_gain(kernel, state), which)
 
 
-def test_streamed_cp_gain_cases_cover_every_batch_shape():
+def test_streamed_cp_gain_cases_cover_every_batch_shape(monkeypatch):
     # the cases above run both shapes of a CP gain, one call over all rows
     # and one row per call: the budget falls between their sizes; the
     # streamed ones run q = 1, 3 and 5, and include outputs that wrap past
-    # the block length M and an odd M
+    # the block length M and an odd M.  As in the first test above, no
+    # case convolves directly
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     shapes, radices, wraps, odd_blocks = set(), set(), set(), set()
     for order, rank, which in product((2, 3, 4, 5), (1, 2, 3), _STREAM_STATES):
         size, occupied = _STREAM_STATES[which]
-        streamed = _streams(order, rank, occupied)
+        path = _cp_path(order, rank, _stream_state(which))
+        streamed = path == "streamed FFT"
         shapes.add((rank == 1, "streamed" if streamed else "batched"))
         if streamed:
-            radix, block = ttagg.rhs.stream_lengths(order, order * rank, occupied)
+            radix, block = ttagg.rhs.split_lengths(order, occupied)
             radices.add(radix)
             wraps.add(min(size, order * occupied) - order + 1 > block)
             odd_blocks.add(block % 2 == 1)
@@ -1116,8 +1121,9 @@ def test_tracer_without_complex_transforms_keeps_the_gain_bits(monkeypatch):
     # split's complex transforms are bound apart, so streamed and batched
     # gains still run, with the bits they have unpatched
     cases = [(_stream_kernel("cp", order, 1), _stream_state("full")) for order in (2, 3)]
-    lengths = [ttagg.rhs.stream_lengths(k.dimension, k.dimension, _STREAM_N) for k, _ in cases]
-    assert lengths == [None, (3, _STREAM_N)]
+    paths = [ttagg.rhs.gain_path(kernel, state) for kernel, state in cases]
+    assert paths == ["batched FFT", "streamed FFT"]
+    assert ttagg.rhs.split_lengths(3, _STREAM_N) == (3, _STREAM_N)
     expected = [rhs_cp_P(kernel, state) for kernel, state in cases]
     monkeypatch.setattr(
         ttagg.rhs, "_fft", types.SimpleNamespace(rfft=np.fft.rfft, irfft=np.fft.irfft)
@@ -1135,10 +1141,10 @@ def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
     sizes = np.arange(1, n_classes + 1)
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
     length = ttagg.rhs.fft_length(order, n_classes)
-    assert 8 * length * order > ttagg.rhs._BATCH_BYTES
     peaks = {}
     for rank in (1, 2, 4):
         kernel = _stream_kernel("cp", order, rank, n_classes)
+        assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
         rhs_cp_P(kernel, state)
         tracemalloc.start()
         try:
@@ -1164,7 +1170,7 @@ def test_streamed_gain_holds_no_real_row_of_transform_length():
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
     kernel = _stream_kernel("cp", order, 1, n_classes)
     length = ttagg.rhs.fft_length(order, n_classes)
-    assert 8 * length * order > ttagg.rhs._BATCH_BYTES
+    assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
     rhs_cp_P(kernel, state)
     tracemalloc.start()
     try:
@@ -1188,7 +1194,8 @@ def test_streamed_gain_holds_one_bin_class_at_a_time():
     sizes = np.arange(1, n_classes + 1)
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
     kernel = _stream_kernel("cp", order, 1, n_classes)
-    radix, block = ttagg.rhs.stream_lengths(order, order, n_classes)
+    assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
+    radix, block = ttagg.rhs.split_lengths(order, n_classes)
     assert radix == 3
     rhs_cp_P(kernel, state)
     tracemalloc.start()
@@ -1218,8 +1225,7 @@ def test_streamed_gain_matches_direct_convolution(make_kernel):
     kernel = make_kernel(n_classes)
     sizes = np.arange(1, n_classes + 1)
     state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
-    length = ttagg.rhs.fft_length(kernel.dimension, n_classes)
-    assert 8 * length * len(kernel.fibers) > ttagg.rhs._BATCH_BYTES
+    assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
     expected = _convolved_cp_gain(kernel, state)
     error = np.max(np.abs(rhs_cp_P(kernel, state) - expected))
     assert error <= 1e-12 * np.max(np.abs(expected)), error
@@ -1247,6 +1253,14 @@ _DIRECT_CELLS = {
 }
 
 
+def _direct_cell_case(order, rank, occupied):
+    # a symmetrized CP kernel and a state on sizes 1..m of d*m sizes
+    kernel = _stream_kernel("symmetrized", order, rank, order * occupied)
+    n = np.random.default_rng(occupied).uniform(0.1, 1.0, order * occupied)
+    n[occupied:] = 0.0
+    return kernel, ConcentrationState(n)
+
+
 @pytest.mark.parametrize("cell", sorted(_DIRECT_CELLS), ids=str)
 def test_small_cp_gains_convolve_directly_below_the_bound(cell, monkeypatch):
     # which path runs is read from the transforms it calls; either path
@@ -1264,14 +1278,11 @@ def test_small_cp_gains_convolve_directly_below_the_bound(cell, monkeypatch):
 
     transforms = types.SimpleNamespace(rfft=counted(np.fft.rfft), irfft=counted(np.fft.irfft))
     monkeypatch.setattr(ttagg.rhs, "_fft", transforms)
-    kernel = _stream_kernel("symmetrized", order, rank, order * occupied)
-    n = np.random.default_rng(occupied).uniform(0.1, 1.0, order * occupied)
-    n[occupied:] = 0.0
-    state = ConcentrationState(n)
+    kernel, state = _direct_cell_case(order, rank, occupied)
     got = rhs_cp_P(kernel, state)
     assert (not calls) == direct, calls
     assert ttagg.rhs.convolves_directly(order, rank, occupied) == direct
-    assert ttagg.rhs.gain_path(kernel, occupied) == ("direct" if direct else "batched FFT")
+    assert ttagg.rhs.gain_path(kernel, state) == ("direct" if direct else "batched FFT")
     assert rel_inf(got, _convolved_cp_gain(kernel, state)) <= 1e-12
 
 
@@ -1306,7 +1317,7 @@ def test_monodisperse_brownian_steps_keep_unreachable_sizes_empty():
     kernels = KernelSet({4: kernel})
     state = InitialCondition.monodisperse(1.0).state(n_classes)
     for _ in range(2):
-        assert ttagg.rhs.gain_path(kernel, state.occupied_size) == "direct"
+        assert ttagg.rhs.gain_path(kernel, state) == "direct"
         state = rk2_step(state, 1e-2, kernels)
     sizes = np.arange(1, n_classes + 1)
     assert state.occupied_size == 4 * 64
@@ -1403,35 +1414,42 @@ def test_cp_gain_on_a_lattice_state_is_exact_zero_off_the_lattice(form, order, r
         if count == last:
             assert not ttagg.rhs.convolves_directly(order, rank, occupied)
         kernel = _stream_kernel(form, order, rank, state.n_classes)
-        assert ttagg.rhs.gain_path(kernel, count) == path
+        assert ttagg.rhs.gain_path(kernel, state) == path
         _check_lattice_gain(
             rhs_cp_P(kernel, state), ttagg.rhs.convolved_gain(kernel, state), state, order, lattice
         )
 
 
-@pytest.mark.parametrize(
-    "form, order, rank, lattice",
-    [
-        ("symmetrized", 3, 1, (1, 2)),
-        ("cp", 4, 2, (2, 3)),
-        ("cp", 2, 1, (3, 4)),
-        ("symmetrized", 5, 1, (1, 4)),
-    ],
-    ids=str,
-)
+_STREAMED_LATTICE_CASES = [
+    ("symmetrized", 3, 1, (1, 2)),
+    ("cp", 4, 2, (2, 3)),
+    ("cp", 2, 1, (3, 4)),
+    ("symmetrized", 5, 1, (1, 4)),
+]
+
+
+def _fewest_streamed_columns(order, rank):
+    # the fewest columns whose rows stream, from 2^9 on: the rule is the
+    # same on J lattice columns as on a state that occupies sizes 1..J
+    def streams(count):
+        return _cp_path(order, rank, ConcentrationState(np.ones(count))) == "streamed FFT"
+
+    return bisect_left(range(1 << 14), True, lo=1 << 9, key=streams)
+
+
+@pytest.mark.parametrize("form, order, rank, lattice", _STREAMED_LATTICE_CASES, ids=str)
 def test_streamed_cp_gain_on_a_lattice_state_is_exact_zero_off_the_lattice(
     form, order, rank, lattice
 ):
     # the fewest lattice columns whose rows stream, through the split at
     # d >= 3, in a state of N >= 2^13 sizes
     first, stride = lattice
-    count = 1 << 9
-    while not _streams(order, rank, count):
-        count += 1
+    count = _fewest_streamed_columns(order, rank)
     state = _lattice_state(first, stride, count, order)
     assert state.n_classes >= 1 << 13 and state.size_lattice == lattice
     kernel = _stream_kernel(form, order, rank, state.n_classes)
-    assert ttagg.rhs.gain_path(kernel, count) == "streamed FFT"
+    assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
+    assert _cp_path(order, rank, _lattice_state(first, stride, count - 1, order)) == "batched FFT"
     _check_lattice_gain(
         rhs_cp_P(kernel, state), ttagg.rhs.convolved_gain(kernel, state), state, order, lattice
     )
@@ -1484,6 +1502,71 @@ def test_a_gain_that_convolves_directly_at_m_looks_up_no_lattice(monkeypatch):
     rhs_cp_P(kernel, state)
     with pytest.raises(AssertionError, match="lattice looked up"):
         rhs_tt_P(build_brownian_tt(BrownianSpec(_LATTICE_MU[4]), state.n_classes), state)
+
+
+def _lattice_cases():
+    # the cases of the lattice tests above: CP gains around the direct
+    # bound, the fewest lattice columns that stream, and TT gains
+    for form, order, rank, (first, stride) in product(
+        ("cp", "symmetrized"), (2, 3, 4, 5), (1, 2, 3), _LATTICES
+    ):
+        last = _last_direct_count(order, rank)
+        for count, truncated in product((4, last, last + 1), (False, True)):
+            state = _lattice_state(first, stride, count, order, count, truncated)
+            yield _stream_kernel(form, order, rank, state.n_classes), state
+    for form, order, rank, (first, stride) in _STREAMED_LATTICE_CASES:
+        state = _lattice_state(first, stride, _fewest_streamed_columns(order, rank), order)
+        yield _stream_kernel(form, order, rank, state.n_classes), state
+    for order, (first, stride), count in product((2, 3, 4, 5), _LATTICES, (1, 4, 40)):
+        state = _lattice_state(first, stride, count, order, seed=count)
+        yield build_brownian_tt(BrownianSpec(_LATTICE_MU[order]), state.n_classes), state
+
+
+_GAIN_GRIDS = {
+    "direct-cells": lambda: (_direct_cell_case(*cell) for cell in sorted(_DIRECT_CELLS)),
+    "stream": lambda: (
+        (_stream_kernel(form, order, rank), _stream_state(which))
+        for form, order, rank, which in product(
+            ("cp", "symmetrized"), (2, 3, 4, 5), (1, 2, 3), _STREAM_STATES
+        )
+    ),
+    "lattice": _lattice_cases,
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GAIN_GRIDS))
+def test_gain_path_names_the_branch_the_gain_runs(grid, monkeypatch):
+    # the branch `_fft_gain` runs is the first of the calls it makes:
+    # `_convolve_rows` (direct), `_cp_stream` (streamed, whose rows go
+    # through `_fft.rfft` after) or `_fft.rfft` (batched)
+    calls = []
+
+    def recorded(path, fn):
+        def call(*args, **kwargs):
+            calls.append(path)
+            return fn(*args, **kwargs)
+
+        return call
+
+    rhs = ttagg.rhs
+    monkeypatch.setattr(rhs, "_convolve_rows", recorded("direct", rhs._convolve_rows))
+    monkeypatch.setattr(rhs, "_cp_stream", recorded("streamed FFT", rhs._cp_stream))
+    transforms = types.SimpleNamespace(
+        rfft=recorded("batched FFT", np.fft.rfft), irfft=np.fft.irfft
+    )
+    monkeypatch.setattr(rhs, "_fft", transforms)
+    seen = set()
+    for kernel, state in _GAIN_GRIDS[grid]():
+        calls.clear()
+        rhs._fft_gain(kernel, state)
+        path = rhs.gain_path(kernel, state)
+        assert calls[0] == path, (type(kernel).__name__, kernel.dimension, state.size_lattice)
+        seen.add(path)
+    assert seen == {
+        "direct-cells": {"direct", "batched FFT"},
+        "stream": {"direct", "batched FFT", "streamed FFT"},
+        "lattice": {"direct", "batched FFT", "streamed FFT"},
+    }[grid]
 
 
 def _monodisperse_run(order, n_classes, kernel, dt, steps):
