@@ -13,22 +13,23 @@ import json
 import os
 import platform
 import sys
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_kernel_set, config_to_dict, load_config
+from .config import (
+    ConfigError,
+    build_kernel_set,
+    config_to_dict,
+    load_config,
+    runtime_kernel,
+)
 from .integrator import StepFailureError, integrate
 from .kernels import (
     DENSE_ELEMENT_BUDGET,
-    BrownianSpec,
+    ConstantSpec,
     DenseKernel,
     KernelError,
-    brownian_symmetrized_cp,
-    build_brownian_tt,
-    constant_symmetrized_cp,
-    constant_tt,
     dense_from_spec,
 )
 from .parallel import run_scaling_benchmark
@@ -106,9 +107,12 @@ def cmd_simulate(config_path: str, output_dir: str | None = None,
         if code != EXIT_OK:
             return code
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     def snapshot(step: int, state: ConcentrationState) -> None:
+        # `integrate` records step 0 once its kernels and initial state
+        # are built, so a refused run leaves no directory behind
+        if step == 0:
+            os.makedirs(out, exist_ok=True)
         _write_snapshot(os.path.join(out, f"n_{step}.csv"), state)
 
     final, series = integrate(config, on_record=snapshot)
@@ -123,73 +127,49 @@ def cmd_simulate(config_path: str, output_dir: str | None = None,
 
 
 def _run_verification(config, seed: int | None = None) -> int:
-    """Compare the run-time kernel paths against dense oracles on random
-    states.  An analytic order runs on its symmetrized CP form, and its
-    constructive TT (`build_brownian_tt` or `constant_tt`), which the run
-    time does not use, is checked too.  One line per order and form.
+    """Check each analytic order's run-time kernel against dense oracles.
 
-    Five states occupy every size; a sixth is zero above max(1, N // 4),
-    so the paths trimmed to the occupied sizes are checked too.  Each
-    line names the gain paths its states ran (`rhs.gain_path`).
-
-    The dense oracle fits only small N, where a small CP gain convolves
-    its rows directly and a larger one transforms them in one call; so
-    each analytic order also runs its symmetrized CP gain against the
-    direct convolution (`rhs.convolved_gain`, which uses no FFT) on three
-    more random states, one line each: two occupy every size, at the
-    smallest N where a rank-1 gain takes the "batched FFT" and the
-    "streamed FFT" path (`_check_size`), and one the sizes 1 + s*j, with s
-    = d - 1 (the sizes a monodisperse start reaches) or 2 at d = 2, on as
-    many lattice columns as the batched state has sizes, so the gain
-    transforms its compressed rows; its reference convolves the
-    uncompressed rows, which is an exact 0.0 off the gain's lattice.  Each
-    of these lines, too, names the path its gain ran, so the direct,
-    batched and streamed paths are checked at any N, and a check that
-    stops running its path shows it."""
-    if config.n_classes**config.dimension > DENSE_ELEMENT_BUDGET:
-        print(
-            f"verify: N**D = {config.n_classes**config.dimension} exceeds the "
-            f"dense oracle budget of {DENSE_ELEMENT_BUDGET}; reduce N"
-        )
-        return EXIT_VALIDATION
-    plan = config.execution_plan()
+    One line per order holds `kernels[d]` at the configured N against
+    `dense_from_spec` on six seeded states over the sizes 1..m that a
+    dense kernel of D modes fits in `DENSE_ELEMENT_BUDGET` (`_dense_head`;
+    m = N where N**D fits): five occupy every size, a sixth is zero above
+    max(1, m // 4).  Three more hold its gain against the direct
+    convolution (`rhs.convolved_gain`, no FFT) at full support where a
+    rank-1 gain takes the "batched FFT" and the "streamed FFT" path
+    (`_check_size`), and on sizes 1 + s*j, s = max(2, d - 1), on as many
+    lattice columns as the batched state has sizes.  Every line names
+    the gain paths it ran (`rhs.gain_path`)."""
+    n_classes = config.n_classes
+    head = _dense_head(n_classes, config.dimension)
     kernels = build_kernel_set(config)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    states = [
-        ConcentrationState(rng.random(config.n_classes)) for _ in range(5)
-    ]
-    short = rng.random(config.n_classes)
-    short[max(1, config.n_classes // 4):] = 0.0
+    states = [ConcentrationState(rng.random(head)) for _ in range(5)]
+    short = rng.random(head)
+    short[max(1, head // 4):] = 0.0
     states.append(ConcentrationState(short))
+    name = "symmetrized CP"
+    if head < n_classes:
+        name += f" on sizes 1..{head} of N = {n_classes}"
 
     worst = 0.0
     for d in sorted(config.kernel_specs):
         spec = config.kernel_specs[d]
-        fast = kernels[d]
-        if isinstance(fast, DenseKernel):
+        kernel = kernels[d]
+        if isinstance(kernel, DenseKernel):
             print(f"order {d}: dense kernel, nothing to verify")
             continue
-        if isinstance(spec, BrownianSpec):
-            tt = build_brownian_tt(spec, config.n_classes)
-            symmetrized = partial(brownian_symmetrized_cp, spec)
-        else:
-            tt = constant_tt(spec.value, d, config.n_classes)
-            symmetrized = partial(constant_symmetrized_cp, spec.value, d)
-        candidates = [("symmetrized CP", fast), ("constructive TT", tt)]
-        oracle = dense_from_spec(spec, config.n_classes)
-        refs = [(rhs_dense_P(oracle, s), rhs_dense_Q(oracle, s)) for s in states]
-        for name, kernel in candidates:
-            err_p = err_q = 0.0
-            for state, (ref_p, ref_q) in zip(states, refs):
-                got_p, got_q = rhs_gain_loss(kernel, state, plan)
-                err_p = max(err_p, _rel_inf(got_p, ref_p))
-                err_q = max(err_q, _rel_inf(got_q, ref_q))
-            worst = max(worst, err_p, err_q)
-            paths = dict.fromkeys(gain_path(kernel, s) for s in states)
-            print(
-                f"order {d}, {name}: max relative error "
-                f"P = {err_p:.3e}, Q = {err_q:.3e} (gain: {', '.join(paths)})"
-            )
+        oracle = dense_from_spec(spec, head)
+        err_p = err_q = 0.0
+        for state in states:
+            got_p, got_q = rhs_gain_loss(kernel, state)
+            err_p = max(err_p, _rel_inf(got_p, rhs_dense_P(oracle, state)))
+            err_q = max(err_q, _rel_inf(got_q, rhs_dense_Q(oracle, state)))
+        worst = max(worst, err_p, err_q)
+        paths = dict.fromkeys(gain_path(kernel, s) for s in states)
+        print(
+            f"order {d}, {name}: max relative error "
+            f"P = {err_p:.3e}, Q = {err_q:.3e} (gain: {', '.join(paths)})"
+        )
         batch, stride = _check_size(d, "batched FFT"), max(2, d - 1)
         occupied = 1 + stride * (batch - 1)
         checks = (
@@ -198,7 +178,7 @@ def _run_verification(config, seed: int | None = None) -> int:
             (f"on sizes 1 + {stride}j", d * occupied, slice(0, occupied, stride)),
         )
         for label, size, sizes in checks:
-            kernel = symmetrized(size)
+            kernel = runtime_kernel(spec, size)
             values = np.zeros(size)
             values[sizes] = rng.random(values[sizes].size)
             state = ConcentrationState(values)
@@ -215,12 +195,17 @@ def _run_verification(config, seed: int | None = None) -> int:
     return EXIT_NUMERICAL
 
 
-def cmd_verify(config_path: str, seed: int | None = None,
-               workers: int | None = None) -> int:
-    config = load_config(config_path)
-    if workers is not None:
-        config = dataclasses.replace(config, workers=workers)
-    return _run_verification(config, seed)
+def cmd_verify(config_path: str, seed: int | None = None) -> int:
+    return _run_verification(load_config(config_path), seed)
+
+
+def _dense_head(n_classes: int, dimension: int) -> int:
+    # the largest m <= N with m**D within the budget, an exact integer
+    # root: 8192, 406, 90 and 36 for D = 2..5 at the default budget
+    head = min(n_classes, round(DENSE_ELEMENT_BUDGET ** (1 / dimension)))
+    while head**dimension > DENSE_ELEMENT_BUDGET:
+        head -= 1
+    return head
 
 
 def _check_size(order: int, path: str) -> int:
@@ -230,8 +215,8 @@ def _check_size(order: int, path: str) -> int:
     # + 1024 j, at N = 9216 for d = 2 and 8192 for d = 3..5, which split
     # their transforms
     size, step = (2, 1) if path == "batched FFT" else (1 << 13, 1 << 10)
-    rank_one = partial(constant_symmetrized_cp, 1.0, order)
-    while gain_path(rank_one(size), ConcentrationState(np.ones(size))) != path:
+    rank_one = ConstantSpec(1.0, order)
+    while gain_path(runtime_kernel(rank_one, size), ConcentrationState(np.ones(size))) != path:
         size += step
     return size
 
@@ -290,7 +275,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="check fast paths against dense oracles")
     p_ver.add_argument("--config", required=True, help="configuration file (JSON)")
     p_ver.add_argument("--seed", type=int, default=None, help="random state seed")
-    p_ver.add_argument("--workers", type=int, default=None, help="worker override")
 
     p_ben = sub.add_parser("bench", help="scaling benchmark across worker counts")
     p_ben.add_argument("--config", required=True, help="configuration file (JSON)")
@@ -307,7 +291,7 @@ def main(argv=None) -> int:
             return cmd_simulate(args.config, output_dir=args.output,
                                 workers=args.workers)
         if args.command == "verify":
-            return cmd_verify(args.config, seed=args.seed, workers=args.workers)
+            return cmd_verify(args.config, seed=args.seed)
         return cmd_bench(args.config, _parse_workers_list(args.workers),
                          output_dir=args.output)
     except (ConfigError, KernelError, ValueError) as exc:

@@ -37,6 +37,7 @@ __all__ = [
     "config_to_dict",
     "load_config",
     "build_kernel_set",
+    "runtime_kernel",
 ]
 
 
@@ -336,16 +337,21 @@ def load_config(path: str) -> SimulationConfig:
     return config_from_dict(data)
 
 
+def runtime_kernel(spec, n_classes: int):
+    """The form a run evaluates `spec` in, over sizes 1..n_classes:
+    Brownian and constant specifications get their exact rank-1
+    symmetrized CP form (d forward transforms per gain), and tables stay
+    dense."""
+    if isinstance(spec, BrownianSpec):
+        return brownian_symmetrized_cp(spec, n_classes)
+    if isinstance(spec, ConstantSpec):
+        return constant_symmetrized_cp(spec.value, spec.dimension, n_classes)
+    return dense_from_spec(spec, n_classes)
+
+
 def build_kernel_set(config: SimulationConfig) -> KernelSet:
-    """Assemble runtime kernels in two forms: Brownian and constant
-    specifications get their exact rank-1 symmetrized CP form (d forward
-    transforms per gain), and tables stay dense."""
-    kernels = {}
-    for d, spec in config.kernel_specs.items():
-        if isinstance(spec, BrownianSpec):
-            kernels[d] = brownian_symmetrized_cp(spec, config.n_classes)
-        elif isinstance(spec, ConstantSpec):
-            kernels[d] = constant_symmetrized_cp(spec.value, d, config.n_classes)
-        else:
-            kernels[d] = dense_from_spec(spec, config.n_classes)
-    return KernelSet(kernels)
+    """Assemble the run-time kernels, each order's `runtime_kernel` at N."""
+    return KernelSet({
+        d: runtime_kernel(spec, config.n_classes)
+        for d, spec in config.kernel_specs.items()
+    })

@@ -386,7 +386,7 @@ def rhs_dense_Q(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
 # calls `run_blocked`.
 # Both exist because the benchmark's tracer wraps these two names in this
 # module and reads their (total, workers, fn) arguments.  ROADMAP
-# direction 1 makes `run_blocked` the fan-out of a gain's rows over
+# direction 6 makes `run_blocked` the fan-out of a gain's rows over
 # `workers` threads; if that direction is dropped, both seams go.
 def run_blocked(total: int, workers: int, fn) -> None:
     fn(0, total)

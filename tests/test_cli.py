@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import scipy
 import ttagg
 import ttagg.cli as cli
 import ttagg.rhs
-from ttagg.kernels import SymmetrizedCPKernel, TTKernel, constant_symmetrized_cp
+from ttagg.kernels import SymmetrizedCPKernel, constant_symmetrized_cp
 from ttagg.rhs import ConcentrationState, KernelSet
 
 
@@ -314,6 +316,27 @@ def test_text_table_of_the_binary_size_is_a_validation_error(tmp_path, capsys):
     assert rows[-1][1] == pytest.approx(0.8888, abs=1e-4)
 
 
+@pytest.mark.parametrize("refusal", ["text-table", "overflowing-mu"])
+def test_a_run_refused_for_its_kernel_leaves_no_output_directory(tmp_path, capsys, refusal):
+    # the kernels are built inside `integrate`; the directory is made with
+    # the first snapshot, after them
+    if refusal == "text-table":
+        table_path = tmp_path / "pair_rates.txt"
+        table_path.write_text("1.000000 2.00000 2.00000 4.0000\n")
+        config_path = write_config(
+            tmp_path, N=2, kernels={"2": {"type": "table", "D": 2, "table_path": str(table_path)}}
+        )
+        message = "error: kernel table "
+    else:
+        config_path = write_config(
+            tmp_path, N=4, kernels={"2": {"type": "brownian", "mu": [800, 0]}}
+        )
+        message = "non-finite coefficient"
+    assert cli.main(["simulate", "--config", config_path]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "time",
     [{"t0": 1e6, "dt": 1e-11, "steps": 3}, {"t0": 1e308, "dt": 1e307, "steps": 30}],
@@ -371,12 +394,12 @@ def test_verify_brownian_passes(tmp_path, capsys):
     assert cli.main(["verify", "--config", config_path, "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    # the run-time form and the paper's constructive TT, one line each
+    # the run-time form only: no run builds the constructive TT
     assert "order 3, symmetrized CP:" in out
-    assert "order 3, constructive TT:" in out
+    assert "constructive TT" not in out
 
 
-def test_verify_checks_both_forms_of_a_constant_order(tmp_path, capsys):
+def test_verify_checks_every_order_of_a_mixed_configuration(tmp_path, capsys):
     config_path = write_config(
         tmp_path,
         N=16,
@@ -391,7 +414,6 @@ def test_verify_checks_both_forms_of_a_constant_order(tmp_path, capsys):
     assert "PASS" in out
     for d in (2, 3):
         assert f"order {d}, symmetrized CP:" in out
-        assert f"order {d}, constructive TT:" in out
 
 
 def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
@@ -416,9 +438,8 @@ def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
     full = [rng.random(32) for _ in range(5)]
     short = rng.random(32)
     short[8:] = 0.0
-    # two representations (symmetrized CP, constructive TT), six states each
-    assert len(seen) == 12
-    for got, want in zip(seen, (full + [short]) * 2):
+    assert len(seen) == 6
+    for got, want in zip(seen, full + [short]):
         np.testing.assert_array_equal(got, want)
 
 
@@ -454,13 +475,8 @@ def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, caps
 
 def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
     # a fault confined to the streamed gain is invisible to the dense
-    # lines, which run direct and batched gains; the streamed line fails
-    config_path = write_config(
-        tmp_path,
-        N=16,
-        D=3,
-        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
-    )
+    # line, whose gains go direct; the streamed line fails
+    config_path = _config_above_the_head(tmp_path, monkeypatch)
     original = ttagg.rhs._fold_class
 
     def skewed(*args):
@@ -471,21 +487,16 @@ def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ttagg.rhs, "_fold_class", skewed)
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
-    errors = {
-        line.split(":")[0]: float(line.split("P = ")[1].split()[0].rstrip(","))
-        for line in out.splitlines()
-        if line.startswith("order 3")
-    }
-    assert errors["order 3, symmetrized CP"] <= cli.VERIFY_TOL
-    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
+    errors = _verify_errors(out, 3)
+    assert errors[HEAD_LINE] <= cli.VERIFY_TOL
     assert errors["order 3, symmetrized CP streamed at N = 8192"] > cli.VERIFY_TOL
     assert "verify: FAIL" in out
 
 
 def test_verify_checks_a_batched_gain_and_names_each_path(tmp_path, capsys):
-    # at N = 16 the symmetrized CP gains convolve directly and the TT
-    # gains transform; one more line per order runs a batched FFT gain,
-    # at the smallest N where a rank-1 gain is above the direct bound
+    # at N = 16 the symmetrized CP gains convolve directly; one more line
+    # per order runs a batched FFT gain, at the smallest N where a rank-1
+    # gain is above the direct bound
     config_path = write_config(
         tmp_path,
         N=16,
@@ -501,8 +512,6 @@ def test_verify_checks_a_batched_gain_and_names_each_path(tmp_path, capsys):
         assert f"order {d}, symmetrized CP: max relative error" in out
         line = next(x for x in out.splitlines() if x.startswith(f"order {d}, symmetrized CP:"))
         assert line.endswith("(gain: direct)")
-        line = next(x for x in out.splitlines() if x.startswith(f"order {d}, constructive TT:"))
-        assert line.endswith("(gain: batched FFT)")
         size = cli._check_size(d, "batched FFT")
         line = f"order {d}, symmetrized CP batched at N = {size}: max relative error P = "
         line = next(x for x in out.splitlines() if x.startswith(line))
@@ -524,15 +533,27 @@ def _verify_errors(out, order):
     }
 
 
-def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
-    # at N = 16 no CP gain transforms in one call, so only the batched line
-    # sees a fault in the batched fold
-    config_path = write_config(
+# the dense line of `_config_above_the_head`
+HEAD_LINE = "order 3, symmetrized CP on sizes 1..16 of N = 1024"
+
+
+def _config_above_the_head(tmp_path, monkeypatch):
+    # N = 1024 at D = 3 is over the dense budget; the budget is cut to
+    # 16**3, so the dense line checks sizes 1..16 and builds a 16**3
+    # oracle, not the 406**3 one of the full budget
+    monkeypatch.setattr(cli, "DENSE_ELEMENT_BUDGET", 16**3)
+    return write_config(
         tmp_path,
-        N=16,
+        N=1024,
         D=3,
         kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
     )
+
+
+def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
+    # on the dense head no CP gain transforms in one call, so only the
+    # batched line sees a fault in the batched fold
+    config_path = _config_above_the_head(tmp_path, monkeypatch)
     original = ttagg.rhs._cp_fold
 
     def skewed(*args):
@@ -544,8 +565,7 @@ def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
     errors = _verify_errors(out, 3)
-    assert errors["order 3, symmetrized CP"] <= cli.VERIFY_TOL
-    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
+    assert errors[HEAD_LINE] <= cli.VERIFY_TOL
     assert errors["order 3, symmetrized CP batched at N = 131"] > cli.VERIFY_TOL
     assert errors["order 3, symmetrized CP streamed at N = 8192"] <= cli.VERIFY_TOL
     assert "verify: FAIL" in out
@@ -554,12 +574,7 @@ def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
 def test_verify_fails_on_a_wrong_direct_gain(tmp_path, monkeypatch, capsys):
     # the direct convolution is both the small gains' path and the
     # transformed gains' reference: the dense line sees a fault in it
-    config_path = write_config(
-        tmp_path,
-        N=16,
-        D=3,
-        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
-    )
+    config_path = _config_above_the_head(tmp_path, monkeypatch)
     original = ttagg.rhs._convolve_rows
 
     def skewed(fibers, head, order, scale, out):
@@ -570,8 +585,7 @@ def test_verify_fails_on_a_wrong_direct_gain(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
     errors = _verify_errors(out, 3)
-    assert errors["order 3, symmetrized CP"] > cli.VERIFY_TOL
-    assert errors["order 3, constructive TT"] <= cli.VERIFY_TOL
+    assert errors[HEAD_LINE] > cli.VERIFY_TOL
     assert "verify: FAIL" in out
 
 
@@ -652,30 +666,18 @@ def test_verify_detects_corrupted_cores(tmp_path, monkeypatch, capsys):
         assert cli.main(["verify", "--config", config_path]) == 2
     assert "FAIL" in capsys.readouterr().out
 
-    # the constructive TT is checked too, though the run time does not use it
-    original_tt = cli.build_brownian_tt
-
-    def corrupt_tt(spec, n_classes):
-        cores = [c.copy() for c in original_tt(spec, n_classes).cores]
-        cores[1][0, 0, 0] += 0.37
-        return TTKernel(tuple(cores))
-
-    monkeypatch.setattr(cli, "build_brownian_tt", corrupt_tt)
-    assert cli.main(["verify", "--config", config_path]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "order 3, symmetrized CP:" in out and "order 3, constructive TT:" in out
-
     # a NaN is an error of inf, not one that the running maximum drops
-    def nan_tt(spec, n_classes):
-        cores = [c.copy() for c in original_tt(spec, n_classes).cores]
-        cores[1][0, 0, 0] = np.nan
-        return TTKernel(tuple(cores))
+    original_gain = cli.rhs_gain_loss
 
-    monkeypatch.setattr(cli, "build_brownian_tt", nan_tt)
+    def nan_gain(kernel, state, plan=None):
+        p, q = original_gain(kernel, state, plan)
+        p[-1] = q[-1] = np.nan
+        return p, q
+
+    monkeypatch.setattr(cli, "rhs_gain_loss", nan_gain)
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
-    assert "constructive TT: max relative error P = inf, Q = inf" in out
+    assert "order 3, symmetrized CP: max relative error P = inf, Q = inf" in out
     assert "verify: FAIL" in out
 
 
@@ -703,15 +705,78 @@ def test_verify_refuses_a_wrong_length_initial_vector(tmp_path, capsys):
     assert "3 values, N = 8" in err
 
 
-def test_verify_budget_guard(tmp_path, capsys):
-    config_path = write_config(
-        tmp_path,
-        N=1024,
-        D=3,
-        kernels={"3": {"type": "brownian", "mu": [1 / 3, -1 / 3, 0.0]}},
-    )
-    assert cli.main(["verify", "--config", config_path]) == 1
-    assert "reduce N" in capsys.readouterr().out
+def test_verify_checks_a_dense_head_above_the_budget(tmp_path, monkeypatch, capsys):
+    # N**D over the budget: the run-time kernel at N runs on the six states
+    # over sizes 1..16, drawn as at N = 16, against a dense oracle of 16
+    # sizes, and the line names the head
+    config_path = _config_above_the_head(tmp_path, monkeypatch)
+    seen, oracles = [], []
+    original, original_oracle = cli.rhs_gain_loss, cli.dense_from_spec
+
+    def record(kernel, state, plan=None):
+        seen.append((kernel.n_classes, state.n))
+        return original(kernel, state, plan)
+
+    def record_oracle(spec, n_classes):
+        oracles.append(n_classes)
+        return original_oracle(spec, n_classes)
+
+    monkeypatch.setattr(cli, "rhs_gain_loss", record)
+    monkeypatch.setattr(cli, "dense_from_spec", record_oracle)
+    assert cli.main(["verify", "--config", config_path, "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    line = next(x for x in out.splitlines() if x.startswith(f"{HEAD_LINE}: "))
+    assert line.endswith("(gain: direct)")
+    assert oracles == [16]
+    rng = np.random.default_rng(5)
+    full = [rng.random(16) for _ in range(5)]
+    short = rng.random(16)
+    short[4:] = 0.0
+    assert len(seen) == 6
+    for (n_classes, got), want in zip(seen, full + [short]):
+        assert n_classes == 1024
+        np.testing.assert_array_equal(got, want)
+    assert "verify: PASS" in out
+
+
+def test_dense_head_is_the_exact_integer_root_of_the_budget():
+    budget = cli.DENSE_ELEMENT_BUDGET
+    heads = [cli._dense_head(1 << 20, d) for d in (2, 3, 4, 5)]
+    assert heads == [8192, 406, 90, 36]
+    for d, m in zip((2, 3, 4, 5), heads):
+        assert m**d <= budget < (m + 1) ** d
+    # N itself wherever N**D fits, so those runs keep their states
+    assert cli._dense_head(406, 3) == 406 and cli._dense_head(64, 4) == 64
+
+
+def test_simulate_with_oracle_gate_above_the_budget(tmp_path, monkeypatch, capsys):
+    config_path = _config_above_the_head(tmp_path, monkeypatch)
+    config = Path(config_path)
+    data = json.loads(config.read_text())
+    data.update(verify_oracle=True, time={"t0": 0.0, "dt": 1e-3, "steps": 2})
+    config.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--config", config_path]) == 0
+    out = capsys.readouterr().out
+    assert f"{HEAD_LINE}: " in out and "PASS" in out and "simulate:" in out
+
+
+def _readme():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_verify_passes_on_the_readme_example_configuration(tmp_path, capsys):
+    # the one verify at the full dense budget: N = 1024 at D = 3 checks
+    # sizes 1..406 (406**3 of the 2**26 elements, about 1.6 GB at peak)
+    section = _readme().split("### Configuration file", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert example["N"] == 1024 and example["D"] == 3
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(example))
+    assert cli.main(["verify", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    for d in (2, 3):
+        assert f"order {d}, symmetrized CP on sizes 1..406 of N = 1024: " in out
+    assert "verify: PASS" in out
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +825,20 @@ def test_malformed_command_line_is_a_validation_error(argv, capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_readme_synopsis_lists_each_subcommands_options(capsys):
+    block = _readme().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        assert words[0] == "ttagg"
+        listed[words[1]] = set(re.findall(r"--[a-z-]+", line))
+    assert set(listed) == {"simulate", "verify", "bench"}
+    for command, options in listed.items():
+        assert cli.main([command, "--help"]) == 0
+        accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert options == accepted, command
 
 
 # ---------------------------------------------------------------------------
