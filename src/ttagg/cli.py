@@ -42,6 +42,7 @@ from .rhs import (
     rhs_dense_P,
     rhs_dense_Q,
     rhs_gain_loss,
+    stream_split,
 )
 
 EXIT_OK = 0
@@ -135,7 +136,8 @@ def _run_verification(config, seed: int | None = None) -> int:
     m = N where N**D fits): five occupy every size, a sixth is zero above
     max(1, m // 4).  Three more hold its gain against the direct
     convolution (`rhs.convolved_gain`, no FFT) at full support where a
-    rank-1 gain takes the "batched FFT" and the "streamed FFT" path
+    rank-1 gain takes the "batched FFT" path and where it takes the
+    "streamed FFT" path with its input over two blocks or more
     (`_check_size`), and on sizes 1 + s*j, s = max(2, d - 1), on as many
     lattice columns as the batched state has sizes.  Every line names
     the gain paths it ran (`rhs.gain_path`)."""
@@ -212,13 +214,16 @@ def _check_size(order: int, path: str) -> int:
     # the smallest N at which a rank-1 gain of this order on a state that
     # occupies every size takes `path` (`gain_path`): "batched FFT" at N =
     # 236, 131, 89 and 65 for d = 2..5; "streamed FFT", searched on N = 8192
-    # + 1024 j, at N = 9216 for d = 2 and 8192 for d = 3..5, which split
-    # their transforms
+    # + 1024 j for a split whose input spans two blocks or more
+    # (`stream_split`), at N = 17408, 11264, 8192 and 8192
     size, step = (2, 1) if path == "batched FFT" else (1 << 13, 1 << 10)
     rank_one = ConstantSpec(1.0, order)
-    while gain_path(runtime_kernel(rank_one, size), ConcentrationState(np.ones(size))) != path:
+    while True:
+        kernel, state = runtime_kernel(rank_one, size), ConcentrationState(np.ones(size))
+        split = stream_split(kernel, state)
+        if gain_path(kernel, state) == path and (split is None or split[1] < size):
+            return size
         size += step
-    return size
 
 
 def _rel_inf(got: np.ndarray, ref: np.ndarray) -> float:

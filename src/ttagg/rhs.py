@@ -13,9 +13,10 @@ relative to the largest entry of p; every other gain transforms the
 kernel's own fiber rows, weighted with size i stored at slot i-1 and
 zero-padded to an alias-free length L of at least d(m-1) + 1, in
 buffers allocated per call, all rows in one call or, for a CP gain too
-large for one, streamed one row at a time through transforms of length
-M ~ m (radix q, L = q*M), folded and inverted one class of q bins at a
-time, so it holds no real row of length L and no whole half spectrum.
+large for one, streamed one row at a time through a four-step split L =
+q*B into q // 2 + 1 classes of bins, each transformed at the block
+length B (4096 above L = 2^15, so every transform stays in cache),
+folded as the rows arrive and inverted once.
 The loss takes two matrix-vector products with the same fiber rows, for
 O(m log m) work per rank pair.
 Here m is the state's occupied size, the largest k with n_k != 0: sizes
@@ -38,7 +39,6 @@ rank.
 
 from __future__ import annotations
 
-import cmath
 import ctypes
 import math
 from bisect import bisect_left
@@ -340,27 +340,34 @@ def _loss(n: np.ndarray, tail: np.ndarray, weight: float, q: np.ndarray) -> np.n
 
 def rhs_dense_P(kernel: DenseKernel, state: ConcentrationState) -> np.ndarray:
     """Gain vector by direct summation over all d-tuples of occupied
-    sizes (O(m**d))."""
+    sizes (O(m**d)).
+
+    The weighted m**d block collapses its last two axes into their index
+    sum, one axis at a time, so entry s of the last vector sums the
+    tuples whose 0-based indices add to s; no grid of index sums is
+    held, and after the block itself the largest buffer has about
+    2 m**(d-1) values."""
     d = _check_pair(kernel, state)
     _check_budget(kernel.n_classes, d)
     occupied = state.occupied_size
+    top = min(state.n_classes, d * occupied)
+    p = np.zeros(state.n_classes)
+    if top < d:
+        return p
     n = state.n[:occupied]
     head = (slice(0, occupied),) * d
-    weighted = kernel.values[head].copy()
+    sums = kernel.values[head].copy()
     for axis in range(d):
         shape = [1] * d
         shape[axis] = occupied
-        weighted *= n.reshape(shape)
-    # the index sums of the occupied sizes, built per call: a grid kept
-    # over all N sizes would hold N**d integers for the life of the process
-    sizes = np.arange(1, occupied + 1, dtype=np.int64)
-    sums = reduce(np.add.outer, [sizes] * d)
-    totals = np.bincount(
-        sums.ravel(), weights=weighted.ravel(), minlength=d * occupied + 1
-    )
-    top = min(state.n_classes, d * occupied)
-    p = np.zeros(state.n_classes)
-    p[d - 1 : top] = totals[d : top + 1] / math.factorial(d)
+        sums *= n.reshape(shape)
+    for _ in range(d - 1):
+        *lead, rows, width = sums.shape
+        collapsed = np.zeros((*lead, rows + width - 1))
+        for row in range(rows):
+            collapsed[..., row : row + width] += sums[..., row, :]
+        sums = collapsed
+    p[d - 1 : top] = sums[: top - d + 1] / math.factorial(d)
     return p
 
 
@@ -409,14 +416,15 @@ def _pin_malloc_thresholds() -> None:
     mapping and unmaps it on free, and trims the heap top above twice that
     threshold; both adapt to the largest block freed so far, so they stay
     near the size of pocketfft's per-transform scratch.  A gain's per-call
-    buffers (at full support two class rows of 2 MiB each and a 1 MiB
-    weighted row, see `_fft_gain`), that scratch and the step's 1 MB
-    vectors then go back to the kernel after a call and are faulted back
-    in on a later one.  On the D = 3, N = 2^17 full-support problem
+    buffers (at full support a 3 MiB spectrum, 2 MiB of weighted blocks
+    and a 1 MiB scratch, see `_fft_gain`), that scratch and the step's
+    1 MB vectors then go back to the kernel after a call and are faulted
+    back in on a later one.  On the D = 3, N = 2^17 full-support problem
     (`resource.getrusage`, 2-core Xeon, glibc 2.36) warm 2-step solutions
-    took 1,025-5,503 minor faults each with default thresholds (0-2,529
-    when a gain held whole half-spectrum rows, 6,533-7,555 when it
-    transformed at L = 393216), and with these fixed thresholds of 32 MiB
+    of an earlier layout took 1,025-5,503 minor faults each with default
+    thresholds (0-2,529 when a gain held whole half-spectrum rows,
+    6,533-7,555 when it transformed at L = 393216), and with these fixed
+    thresholds of 32 MiB
     (mmap) and 256 MiB (trim) 257 in the second solution and 0 from the
     third on: freed blocks are reused from the heap, so no gain needs
     buffers kept between calls.  Other C libraries have no `mallopt`, and
@@ -476,17 +484,28 @@ def fft_length(order: int, occupied: int) -> int:
     return _fast_length(order * (occupied - 1) + 1)
 
 
-def split_lengths(order: int, occupied: int) -> tuple[int, int]:
-    """Radix q and block length M of a streamed order-d gain on a state
-    with occupied size m: it transforms at length L = q * M.
-
-    q is d for odd d and d - 1 for even d, so q is odd, and M is the
-    smallest 5-smooth length with q * M >= d(m-1) + 1, which keeps L
-    alias-free and gives M >= m.  At q = 1 (d = 2) this is
-    (1, `fft_length(2, m)`).  See `_cp_stream` for the split.
-    """
-    radix = order if order % 2 else order - 1
-    return radix, _fast_length(-(-(order * (occupied - 1) + 1) // radix))
+# The split of a streamed gain (`gain_path`, `_cp_stream`), which
+# transforms at L = q * B.  Up to L = `_SINGLE_LENGTH` it keeps one
+# block: q = d for odd d and d - 1 for even d, and B the smallest
+# 5-smooth length with q * B >= d(m-1) + 1.  Above it B = `_BLOCK` and
+# q = ceil((d(m-1) + 1) / B), so no transform runs past B.  Measured on
+# a 2-core Xeon (2 MiB L2 per core) with numpy 2.4.6, in-process against
+# the one-block split on full-support Brownian gains (`BENCH_27.json`):
+# a complex `fft` of 2^17 took about twice the time per n log2 n of a
+# batch of length 8192, because its row and pocketfft's scratch spill
+# L2.  With B = 4096 a D = 3, N = 2^17 gain took 0.72-0.78x the parent's
+# time (0.80-0.82x at B = 8192 and 16384, 0.85-0.86x at 2048).  Forced
+# into blocks, d = 2 gains lost up to 1.11x at L <= 2^15 and won from
+# 49152 on, and d = 3 and 4 won from L = 32805-36864 on, so one block is
+# kept up to L = 2^15; at d = 5 one block stayed ahead up to L = 81920
+# (0.81x against 0.86x), which the one bound gives up.  A row's classes
+# are transformed `_GROUP_BYTES` of spectrum at a time into a scratch:
+# at 256 KiB a D = 3, N = 2^17 gain took 1.1-1.2x, and at 128 KiB
+# 1.4-1.8x, the time it took at 1 MiB, and a whole half spectrum was no
+# faster than 1 MiB and held 2 MiB more.
+_BLOCK = 4096
+_SINGLE_LENGTH = 1 << 15
+_GROUP_BYTES = 1 << 20
 
 
 # Bytes of weighted real rows above which a CP gain streams its rows one
@@ -548,25 +567,40 @@ def gain_path(kernel, state: ConcentrationState) -> str:
     decides: a TT gain is "batched FFT"; a CP gain is "direct" if
     `convolves_directly` at J, "batched FFT" if its r real rows of
     length `fft_length(d, J)` take at most `_BATCH_BYTES`, and otherwise
-    "streamed FFT", split by `split_lengths`.  A gain direct at m is
-    direct at J <= m too, so the first test only spares the lattice scan.
+    "streamed FFT", at the radix q and block length B set next to
+    `_BLOCK`.  A gain direct at m is direct at J <= m too, so the first
+    test only spares the lattice scan.
     """
     return _gain_rule(kernel, state)[0]
 
 
+def stream_split(kernel, state: ConcentrationState) -> tuple[int, int] | None:
+    """The radix q and block length B, L = q * B, at which a gain that
+    `gain_path` streams transforms (see `_BLOCK`), or None for a gain
+    that does not stream."""
+    return _gain_rule(kernel, state)[2]
+
+
 def _gain_rule(kernel, state: ConcentrationState):
-    # `gain_path`'s rule: the path, and the lattice (first, stride) whose
-    # columns the gain reads, (1, 1) for a gain direct at m
+    # `gain_path`'s rule: the path, the lattice (first, stride) whose
+    # columns the gain reads, (1, 1) for a gain direct at m, and for a
+    # streamed gain its split (q, B), else None
     order, rows, occupied = kernel.dimension, len(kernel.fibers), state.occupied_size
     cp = not isinstance(kernel, TTKernel)
     if cp and convolves_directly(order, rows // order, occupied):
-        return "direct", (1, 1)
+        return "direct", (1, 1), None
     first, stride = state.size_lattice
     count = (occupied - first) // stride + 1
     if cp and convolves_directly(order, rows // order, count):
-        return "direct", (first, stride)
-    streams = cp and 8 * fft_length(order, count) * rows > _BATCH_BYTES
-    return "streamed FFT" if streams else "batched FFT", (first, stride)
+        return "direct", (first, stride), None
+    if not cp or 8 * fft_length(order, count) * rows <= _BATCH_BYTES:
+        return "batched FFT", (first, stride), None
+    bound = order * (count - 1) + 1
+    radix = order if order % 2 else order - 1
+    block = _fast_length(-(-bound // radix))
+    if radix * block > _SINGLE_LENGTH:
+        radix, block = -(-bound // _BLOCK), _BLOCK
+    return "streamed FFT", (first, stride), (radix, block)
 
 
 def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
@@ -593,14 +627,15 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     view.  The largest column is d(m-1), and L = `fft_length(d, m)` keeps
     it alias-free.
 
-    "streamed FFT" runs `_cp_stream`, which splits the transform at q*M
-    into one real and (q-1)/2 complex transforms of length M ~ m
-    (`split_lengths`; at d = 2, q = 1 and M = L), one per class of bins,
-    weights each row in the head of p, and folds and inverts each class
-    before the next, holding no real row of length L: at full support on
-    D = 3, N = 2^17 (q = 3, M = 2^17) two 2 MiB class rows and p, 1 MiB.
-    Its bits differ from the batched shape's by roundoff, except at q =
-    1, where `_fold_class` runs `_cp_fold`'s operations in its order.
+    "streamed FFT" runs `_cp_stream`, which splits the transform at L =
+    q * B (the rule's split) into one real and q // 2 complex transforms
+    of length B per row, one per class of bins, folds each row's classes
+    into the running spectrum as they arrive and inverts them once: at
+    full support on D = 3, N = 2^17 (q = 96, B = 4096) it holds the
+    folded half spectrum, 3.0 MiB, the weighted row as 32 complex blocks,
+    2 MiB, a 1 MiB scratch and p, 1 MiB.  Its bits differ from the
+    batched shape's by roundoff, except at q = 1, where it runs the
+    batched shape's operations in their order.
 
     All of p is an exact 0.0 for an all-zero state, which skips the
     transforms.  Buffers are fresh per call (`_pin_malloc_thresholds`
@@ -614,7 +649,7 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     if top < order:
         return np.zeros(n.size)
     _pin_malloc_thresholds()
-    path, (first, stride) = _gain_rule(kernel, state)
+    path, (first, stride), split = _gain_rule(kernel, state)
     # a symmetrized kernel's d! slot orders each give the same
     # convolution, which cancels the gain's 1/d!
     scale = 1.0 if isinstance(kernel, SymmetrizedCPKernel) else 1.0 / math.factorial(order)
@@ -627,7 +662,7 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
         _convolve_rows(fibers, head, order, scale, out)
         return p
     if path == "streamed FFT":
-        _cp_stream(fibers, head, order, *split_lengths(order, count), scale, out, p[:count])
+        _cp_stream(fibers, head, order, *split, scale, out, p)
         return p
     rows = len(fibers)
     length = fft_length(order, count)
@@ -643,37 +678,76 @@ def _fft_gain(kernel, state: ConcentrationState) -> np.ndarray:
     return p
 
 
-def _twiddles(count: int, shift: int, length: int, sign: float, factor: float = 1.0):
-    """Tables (fine, coarse) of the twiddles factor * exp(sign * 2 pi i *
-    shift * n / length), n < count: with w = len(fine), the twiddle of n
-    is fine[n % w] * coarse[n // w], so a row's twiddles are never held
-    at its length.  Phases are reduced modulo `length` in integers."""
-    width = max(1, math.isqrt(count))
+@lru_cache(maxsize=32)
+def _block_dft(radix: int, blocks: int):
+    """The (q // 2, nblk) block-DFT matrix exp(-2 pi i s t / q) of a
+    streamed gain's classes s = 1..q // 2 and blocks t < nblk (q =
+    `radix`, nblk = `blocks`), phases reduced modulo q in integers;
+    read-only and cached, like `_twiddles`."""
+    turns = np.arange(1, radix // 2 + 1)[:, None] * np.arange(blocks) % radix
+    matrix = np.exp(-2j * math.pi / radix * turns)
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=32)
+def _unfold_matrix(radix: int, outputs: int):
+    """The (nout, q // 2) matrix e_s exp(2 pi i s t / q) / q that unfolds
+    the inverted classes s = 1..q // 2 into the output blocks t < nout
+    (q = `radix`, nout = `outputs`; e_s = 1 for the class q/2 of even q,
+    2 otherwise, `_cp_stream`); read-only and cached."""
+    weights = np.full(radix // 2, 2.0 / radix)
+    if radix % 2 == 0:
+        weights[-1] /= 2.0
+    turns = np.arange(outputs)[:, None] * np.arange(1, radix // 2 + 1) % radix
+    matrix = np.exp(2j * math.pi / radix * turns) * weights
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=32)
+def _twiddles(classes: int, block: int, length: int, sign: float = -1.0):
+    """Tables (fine, coarse) of the twiddles exp(sign * 2 pi i * s * c /
+    L) of the bin classes s = 1..`classes` at columns c < B (B = `block`,
+    L = `length`): with w the largest divisor of B at most sqrt(B), the
+    twiddle of (s, c) is fine[s-1, 0, c % w] * coarse[s-1, c // w, 0], so
+    no (classes, B) table is held.  Phases are reduced modulo L in
+    integers.  Read-only, and cached: a run's gains meet a handful of
+    splits."""
+    width = max(w for w in range(1, math.isqrt(block) + 1) if block % w == 0)
+    shifts = np.arange(1, classes + 1)[:, None]
     turn = sign * 2j * math.pi / length
-    fine = np.exp(turn * (shift * np.arange(width) % length))
-    coarse = np.exp(turn * (shift * width * np.arange(-(-count // width)) % length))
-    coarse *= factor
+    fine = np.exp(turn * (shifts * np.arange(width) % length))[:, None, :]
+    coarse = np.exp(turn * (shifts * width * np.arange(block // width) % length))[:, :, None]
+    for table in (fine, coarse):
+        table.setflags(write=False)
     return fine, coarse
 
 
 def _twist(src, dst, tables) -> None:
-    """dst[n] = src[n] times its twiddle from `_twiddles` `tables`, for
-    n < src.size; `src` may be `dst`.
+    """dst[s-1, c] = src[..., c] times the twiddle of (s, c) from
+    `_twiddles` `tables`, for the columns c of `src`, and 0.0 in the
+    columns of `dst` past them; `src` may be `dst`, or one row that every
+    class shares.
 
-    The two broadcast products run with ufunc buffers of 512 items: at
-    numpy's default of 8192 they buffer 128-256 KiB, and at M = 2^17
-    (2-core Xeon) took 0.35-0.50 ms against 0.23-0.33 ms.
+    The broadcast products run with ufunc buffers of 512 items: at
+    numpy's default of 8192 they buffer 128-256 KiB, and at (24, 8192)
+    (2-core Xeon) took 0.56 ms against 0.46 ms.
     """
     fine, coarse = tables
-    count, width = src.size, fine.size
+    width = fine.shape[-1]
+    count = src.shape[-1]
     whole = count - count % width
-    blocks = dst[:whole].reshape(-1, width)
+    # splitting the column axis of a slice is always a view
+    blocks = dst[:, :whole].reshape(len(dst), -1, width)
     with np.errstate():  # restores the buffer size on exit
         np.setbufsize(512)
-        np.multiply(src[:whole].reshape(-1, width), fine, out=blocks)
-        np.multiply(blocks, coarse[: len(blocks), None], out=blocks)
-    if whole < count:
-        np.multiply(src[whole:], fine[: count - whole] * coarse[len(blocks)], out=dst[whole:count])
+        np.multiply(src[..., :whole].reshape(-1, blocks.shape[1], width), fine, out=blocks)
+        np.multiply(blocks, coarse[:, : blocks.shape[1]], out=blocks)
+        if whole < count:
+            tail = fine[:, 0, : count - whole] * coarse[:, blocks.shape[1]]
+            np.multiply(src[..., whole:], tail, out=dst[:, whole:count])
+    dst[:, count:] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -797,107 +871,113 @@ def _cp_fold(spectra, order: int):
     return total
 
 
-def _fold_class(fibers, head, order: int, radix: int, block: int, shift: int, slots, weighted):
-    """`_cp_fold` of bin class s = `shift` of a CP gain's half spectra of
-    length L = q * M (q = radix, M = block, `split_lengths`), one fiber
-    row at a time: the folded class, in slots[0].
-
-    Each of the (r, m) `fibers` is weighted by the concentrations `head`
-    into the (1, m) row x = `weighted`, m <= M, and transformed by one
-    branch of a
-    first decimation-in-frequency step of radix q.  Class s = 0, the
-    bins X[q*k], k = 0..M//2, is `rfft(x, n=M)`; class s = 1..(q-1)/2,
-    the bins X[q*k + s], k = 0..M-1, is the in-place complex `fft` of
-    length M of x[n] exp(-2 pi i s n / L), taken with `_twist`.  The
-    bins of s > q/2 mirror those of q - s as conjugates and are never
-    formed.  `slots` are (1, M//2 + 1) rows for s = 0 and (1, M) rows
-    otherwise: slots[0] holds the total (first rank 0's product),
-    slots[1] receives every mode >= 1, and slots[2] a later rank's
-    product (absent at rank 1).  Rows are folded as their spectra
-    arrive, by `_cp_fold`'s products and rank sums in its order, bin by
-    bin, so a class gets the bits it has in a fold of the whole half
-    spectrum.
-    """
-    total, row_bins, *later = slots
-    columns = head.size
-    twiddles = _twiddles(columns, shift, radix * block, -1.0) if shift else None
-    for row in range(len(fibers)):
-        mode = row % order
-        out = row_bins if mode else later[0] if row else total
-        np.multiply(fibers[row : row + 1], head, out=weighted)
-        if not shift:
-            _fft.rfft(weighted, n=block, axis=1, out=out)
-        else:
-            _twist(weighted[0], out[0, :columns], twiddles)
-            out[:, columns:] = 0.0
-            _fft_c2c(out, axis=1, out=out)
-        if not mode:
-            product = out[0]
-        else:
-            np.multiply(product, out[0], out=product)
-            if mode == order - 1 and row >= order:
-                np.add(total[0], product, out=total[0])
-    return total[0]
-
-
-def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, out, weighted):
+def _cp_stream(fibers, head, order: int, radix: int, block: int, scale: float, out, p) -> None:
     """Gain of an order-d CP kernel whose rows stream (`gain_path`),
-    written into `out`: `scale` times the first len(out) columns of the
-    inverse transform of length L = q * M (q = radix, M = block) of the
-    (r, m) rows' folded half spectrum, formed one bin class at a time by
-    `_fold_class`, which weights each row into `weighted`, m values
-    zeroed before `out` is written: the head of the p `out` views.
+    written into `out`, a view of the zeroed p: `scale` times the first
+    len(out) columns of the inverse transform of length L = q * B (q =
+    radix, B = block) of the (r, m) rows' folded half spectrum, which
+    `_stream_spectrum` forms.
 
-    With y[n] = (1/L) sum_j Y[j] exp(2 pi i j n / L) and n = t*M + r,
-    the bins j = q*k + s give y[n] = (a[r] + sum_s 2 Re(exp(2 pi i s n /
-    L) c_s[r])) / q, where a is `irfft` of class 0 and c_s `ifft` of
-    class s, both of length M, s = 1..(q-1)/2: the bins of s > q/2 are
-    the conjugates of those of q - s.  Classes never mix, so each is
-    folded and inverted before the next is formed: s = 1..(q-1)/2 first,
-    each c_s in place of its class, then class 0, whose a goes into a
-    spent slot below the total.  At full support on D = 3, N = 2^17 (q =
-    3, M = 2^17) the gain holds c_1 and one class's slots, 2 MiB each,
-    beside p, 1 MiB, whose head is the weighted row.  There (2-core Xeon) an
-    `ifft` took 2.5-2.6 ms in place and 3.2-4.1 ms into another row, and
-    the `irfft` 1.9 ms below its input and 2.6-2.9 ms written 1 MiB + 16
-    bytes above it.  At q = 1 (d = 2) y is `irfft` of length M = L.
+    With w_N = exp(-2 pi i / N), a = `irfft` of class 0 and z_s =
+    w_L^(-s c) `ifft` of class s, both of length B, the real inverse is
+
+        y[t*B + c] = (a[c] + sum_s e_s Re(w_q^(-s t) z_s[c])) / q,
+
+    e_s = 1 for the class q/2 of even q and 2 otherwise: one (nout, q //
+    2) matrix product for the nout = ceil(len(out) / B) blocks of `out`,
+    over the columns c < min(B, len(out)) that `out` reaches.  At q = 1,
+    y is a.
     """
-    length = radix * block
     half = block // 2 + 1
-    count = out.size
-    classes = (radix - 1) // 2
-    slots = 2 if len(fibers) == order else 3
-    # class s >= 1 folds in rows s - 1.. of 2 * half >= M values and
-    # leaves c_s in row s - 1; class 0 folds in half rows above the last
-    stride = 2 * half
-    spectra = np.empty((classes + slots - 1) * stride if classes else slots * half, np.complex128)
-    weighted = weighted.reshape(1, -1)
-    parts = []
-    for shift in range(1, classes + 1):
-        start = (shift - 1) * stride
-        rows = spectra[start : start + slots * stride].reshape(slots, 1, stride)[..., :block]
-        part = _fold_class(fibers, head, order, radix, block, shift, rows, weighted)
-        _ifft_c2c(part, out=part)
-        part = part[: min(block, count)]
-        _twist(part, part, _twiddles(part.size, shift, length, 1.0, 2.0))
-        parts.append(part)
-    rows = spectra[classes * stride :][: slots * half].reshape(slots, 1, half)
-    # the total on top, so the inverse lands below its input
-    total = _fold_class(fibers, head, order, radix, block, 0, rows[::-1], weighted)
-    weighted[:] = 0.0
-    real = rows[0, 0].view(np.float64)[:block]
-    _fft.irfft(total, n=block, out=real)
-    for start in range(0, count, block):
+    total = _stream_spectrum(fibers, head, order, radix, block, p)
+    # the columns of one block that `out` reaches
+    columns = min(block, out.size)
+    base = _fft.irfft(total[:half], n=block)[:columns]
+    if radix == 1:
+        np.multiply(base, scale, out=out)
+        return
+    np.multiply(base, scale / radix, out=base)
+    rest = total[half:].reshape(-1, block)
+    _ifft_c2c(rest, axis=1, out=rest)
+    rest = rest[:, :columns]
+    _twist(rest, rest, _twiddles(len(rest), block, radix * block, 1.0))
+    unfolded = np.matmul(_unfold_matrix(radix, -(-out.size // block)) * scale, rest).real
+    for start, part in zip(range(0, out.size, block), unfolded):
         dest = out[start : start + block]
-        width = dest.size
-        acc = real[:width]
-        for shift, part in enumerate(parts, 1):
-            if start:
-                # the next block of n turns the phase by exp(2 pi i s / q)
-                np.multiply(part[:width], cmath.exp(2j * math.pi * shift / radix), out=part[:width])
-            np.add(acc, part[:width].real, out=dest)
-            acc = dest
-        np.multiply(acc, scale / radix, out=dest)
+        np.add(part[: dest.size], base[: dest.size], out=dest)
+
+
+def _stream_spectrum(fibers, head, order: int, radix: int, block: int, p):
+    """The folded half spectrum of length L = q * B (q = radix, B = block)
+    of a streamed CP gain's (r, m) `fibers` weighted by `head`, as one
+    complex vector: class 0's B // 2 + 1 bins, then the B bins of each
+    class s = 1..q // 2 in turn.
+
+    Four-step (Bailey, J. Supercomputing 4, 1990): column n = t*B + c of
+    a row x lies in block t < nblk = ceil(m / B), and its bin j = q*k + s
+    in class s, so with w_N = exp(-2 pi i / N)
+
+        X[q*k + s] = sum_c w_B^(k c) w_L^(s c) sum_t w_q^(s t) x_t[c].
+
+    Class 0, k <= B // 2, is `rfft` of the block sum.  Classes s >= 1 are
+    the complex `fft` of the (q // 2, nblk) block-DFT matrix w_q^(s t)
+    times the (nblk, B) blocks, each twisted by w_L^(s c) (`_twist`); one
+    block's matrix is a column of ones, so there every class twists the
+    row itself.  Bins of s > q/2 are the conjugates of those of q - s and
+    are never formed; at even q, class q/2 is its own mirror.
+
+    Each row is weighted once, into p's head for one block (zeroed again
+    before the return) and into complex blocks otherwise, and its
+    classes are transformed `_GROUP_BYTES` at a time and folded bin by
+    bin into the running spectrum by `_cp_fold`'s products and rank sums
+    in its order.  The first row of a rank is transformed into the
+    running spectrum itself (a second one for ranks after the first),
+    every later mode into a scratch of one group.
+    """
+    count = head.size
+    half = block // 2 + 1
+    classes = radix // 2
+    blocks = -(-count // block)
+    if blocks == 1:
+        # `rfft` pads class 0 to B, and `_twist` zeroes the other classes
+        # past the row
+        row, weighted, forward = p[:count], None, None
+    else:
+        weighted = np.zeros((blocks, block), np.complex128)
+        row = weighted.real.reshape(-1)[:count]
+        forward = _block_dft(radix, blocks)
+    fine, coarse = _twiddles(classes, block, radix * block)
+    group = max(1, _GROUP_BYTES // (16 * block))
+    pieces = [(0, half)] + [
+        (half + start * block, half + min(start + group, classes) * block)
+        for start in range(0, classes, group)
+    ]
+    total = np.empty(pieces[-1][1], np.complex128)
+    later = np.empty(total.size, np.complex128) if len(fibers) > order else None
+    scratch = np.empty(max(hi - lo for lo, hi in pieces), np.complex128)
+    for index, fiber in enumerate(fibers):
+        mode = index % order
+        product = later if index >= order else total
+        np.multiply(fiber, head, out=row)
+        for lo, hi in pieces:
+            spec = scratch[: hi - lo] if mode else product[lo:hi]
+            if not lo:
+                _fft.rfft(row if blocks == 1 else weighted.real.sum(axis=0), n=block, out=spec)
+            else:
+                rows = spec.reshape(-1, block)
+                first = (lo - half) // block
+                span = slice(first, first + len(rows))
+                if blocks > 1:
+                    np.matmul(forward[span], weighted, out=rows)
+                _twist(rows if blocks > 1 else row, rows, (fine[span], coarse[span]))
+                _fft_c2c(rows, axis=1, out=rows)
+            if mode:
+                np.multiply(product[lo:hi], spec, out=product[lo:hi])
+                if mode == order - 1 and product is later:
+                    np.add(total[lo:hi], later[lo:hi], out=total[lo:hi])
+    if blocks == 1:
+        row[:] = 0.0
+    return total
 
 
 def rhs_cp_P(

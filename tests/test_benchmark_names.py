@@ -8,6 +8,8 @@ makes such a change fail the test suite too.
 
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -66,3 +68,36 @@ def test_traced_toy_solution_passes_the_benchmark_checks(monkeypatch):
         for kids in transformed:
             assert sum(k[4]["rows"] for k in kids if k[0] == "fft.forward") == toy.dimension
             assert sum(1 for k in kids if k[0] == "fft.inverse") == 1
+
+
+def test_tracer_records_the_transforms_of_a_streamed_gain(monkeypatch):
+    # the tracer swaps `rhs._fft` for its real transforms only; a streamed
+    # gain sends each row's class 0 and its one inverse through them, so
+    # the per-gain FFT figures see the stream, split into blocks or not,
+    # and the gain keeps its bits
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads as wl
+
+    ttagg = wl.ttagg
+    for n_classes in (1 << 12, 1 << 14):
+        kernel = ttagg.kernels.brownian_symmetrized_cp(
+            ttagg.kernels.BrownianSpec(wl.BROWNIAN_MU[3]), n_classes
+        )
+        sizes = np.arange(1, n_classes + 1)
+        state = ttagg.rhs.ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+        assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
+        expected = ttagg.rhs.rhs_cp_P(kernel, state)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            got = ttagg.rhs.rhs_cp_P(kernel, state)
+        finally:
+            tracer.restore()
+        np.testing.assert_array_equal(got, expected)
+        index = tracing.SpanIndex(tracer.spans)
+        (gain,) = index.named("rhs.gain")
+        kids = [tracer.spans[c][0] for c in index.children[gain]]
+        assert kids.count("fft.forward") == len(kernel.fibers), n_classes
+        assert kids.count("fft.inverse") == 1, n_classes

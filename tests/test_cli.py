@@ -446,7 +446,7 @@ def test_verify_checks_a_state_with_an_empty_tail(tmp_path, monkeypatch):
 def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, capsys):
     # the dense oracle stops at small N, where no gain streams; one more
     # line per order runs the symmetrized CP gain where it streams its
-    # rows, against a chain of np.convolve
+    # rows in blocks, against a chain of np.convolve
     config_path = write_config(
         tmp_path,
         N=16,
@@ -466,10 +466,13 @@ def test_verify_checks_a_streamed_gain_against_direct_convolution(tmp_path, caps
         line = next(x for x in out.splitlines() if x.startswith(line))
         assert line.endswith("(gain: streamed FFT)")
         kernel = constant_symmetrized_cp(1.0, d, size)
-        assert ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size))) == "streamed FFT"
-        assert ttagg.rhs.split_lengths(d, size)[0] == (1 if d == 2 else 3)
+        state = ConcentrationState(np.ones(size))
+        assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
+        # its input spans two blocks or more
+        radix, block = ttagg.rhs.stream_split(kernel, state)
+        assert block == ttagg.rhs._BLOCK and size > block
     sizes = [cli._check_size(d, "streamed FFT") for d in (2, 3, 4, 5)]
-    assert sizes == [9216, 8192, 8192, 8192]
+    assert sizes == [17408, 11264, 8192, 8192]
     assert "verify: PASS" in out
 
 
@@ -477,19 +480,19 @@ def test_verify_fails_on_a_wrong_streamed_gain(tmp_path, monkeypatch, capsys):
     # a fault confined to the streamed gain is invisible to the dense
     # line, whose gains go direct; the streamed line fails
     config_path = _config_above_the_head(tmp_path, monkeypatch)
-    original = ttagg.rhs._fold_class
+    original = ttagg.rhs._stream_spectrum
 
     def skewed(*args):
         folded = original(*args)
         folded *= 1.0 + 1e-6
         return folded
 
-    monkeypatch.setattr(ttagg.rhs, "_fold_class", skewed)
+    monkeypatch.setattr(ttagg.rhs, "_stream_spectrum", skewed)
     assert cli.main(["verify", "--config", config_path]) == 2
     out = capsys.readouterr().out
     errors = _verify_errors(out, 3)
     assert errors[HEAD_LINE] <= cli.VERIFY_TOL
-    assert errors["order 3, symmetrized CP streamed at N = 8192"] > cli.VERIFY_TOL
+    assert errors["order 3, symmetrized CP streamed at N = 11264"] > cli.VERIFY_TOL
     assert "verify: FAIL" in out
 
 
@@ -567,7 +570,7 @@ def test_verify_fails_on_a_wrong_batched_gain(tmp_path, monkeypatch, capsys):
     errors = _verify_errors(out, 3)
     assert errors[HEAD_LINE] <= cli.VERIFY_TOL
     assert errors["order 3, symmetrized CP batched at N = 131"] > cli.VERIFY_TOL
-    assert errors["order 3, symmetrized CP streamed at N = 8192"] <= cli.VERIFY_TOL
+    assert errors["order 3, symmetrized CP streamed at N = 11264"] <= cli.VERIFY_TOL
     assert "verify: FAIL" in out
 
 

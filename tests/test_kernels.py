@@ -490,3 +490,24 @@ def test_dense_from_symmetrized_cp():
         assert values[tuple(i - 1 for i in idx)] == pytest.approx(
             symmetrized_cp_element(kernel, idx), rel=1e-13
         )
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [(0.5, -0.5), (1 / 3, -1 / 3, 0.0), (0.5, -0.5, 0.25, 0.0), (0.4, -0.4, 0.2, -0.2, 0.7)],
+    ids=lambda mu: f"d{len(mu)}",
+)
+def test_brownian_oracle_by_subsets_matches_the_permutation_sum(mu):
+    # `dense_from_spec` builds the Brownian array by subsets of its slot
+    # vectors; the literal sum over the D! slot orders gives it within
+    # 1e-14 relative
+    d, m = len(mu), 7
+    got = dense_from_spec(BrownianSpec(mu), m).values
+    sizes = np.arange(1, m + 1, dtype=np.float64)
+    expected = np.zeros((m,) * d)
+    for perm in permutations(range(d)):
+        term = sizes ** mu[perm[0]]
+        for slot in perm[1:]:
+            term = np.multiply.outer(term, sizes ** mu[slot])
+        expected += term
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -82,55 +83,79 @@ def test_fast_fft_length_is_5_smooth_alias_free_and_at_most_pow2(order, n_classe
     assert needed <= fast <= 1 << (needed - 1).bit_length()
 
 
+def _split(order, occupied):
+    # the split (q, B) `gain_path`'s rule gives a rank-1 CP gain of this
+    # order that streams on a state occupying sizes 1..m; the rule reads
+    # the kernel's order, rows and form only
+    kernel = types.SimpleNamespace(dimension=order, fibers=range(order))
+    path, _, split = ttagg.rhs._gain_rule(kernel, ConcentrationState(np.ones(max(2, occupied))))
+    assert path == "streamed FFT"
+    return split
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
-def test_split_lengths_are_odd_radix_5_smooth_and_alias_free(order):
-    # a streamed gain transforms at L = q * M: q odd, M 5-smooth, M >= m,
-    # and L at least the alias-free bound d(m-1) + 1
-    split = ttagg.rhs.split_lengths
-    occupied_sizes = [1, 2, 3, 7, 40, 1000, 1125, 3375, 12345, 1 << 15, 1 << 17, 1 << 18]
+def test_split_lengths_are_odd_radix_5_smooth_and_alias_free(order, monkeypatch):
+    # a streamed gain transforms at L = q * B, at least the alias-free
+    # bound d(m-1) + 1.  Up to L = 2^15 it keeps one block: q odd (d for
+    # odd d, d - 1 for even d) and B the smallest 5-smooth length at the
+    # bound, so B >= m.  Above, B is the 5-smooth block constant and q the
+    # fewest blocks that reach the bound
+    monkeypatch.setattr(ttagg.rhs, "_BATCH_BYTES", 0)
+    monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
+    block_length, single = ttagg.rhs._BLOCK, ttagg.rhs._SINGLE_LENGTH
+    assert _is_5_smooth(block_length)
+    occupied_sizes = [2, 3, 7, 40, 1000, 1125, 3375, 4096, 12345, 1 << 15, 1 << 17, 1 << 18]
+    kinds = set()
     for occupied in occupied_sizes:
-        radix, block = split(order, occupied)
-        assert radix % 2 == 1 and radix == (order if order % 2 else order - 1)
-        assert _is_5_smooth(block) and block >= occupied
-        assert radix * block >= order * (occupied - 1) + 1
-        # the smallest 5-smooth M at that bound
-        smaller = [m for m in range(occupied, block) if _is_5_smooth(m)]
-        assert all(radix * m < order * (occupied - 1) + 1 for m in smaller)
-    if order == 2:
-        for occupied in occupied_sizes:
-            assert split(2, occupied) == (1, ttagg.rhs.fft_length(2, occupied))
+        bound = order * (occupied - 1) + 1
+        radix, block = _split(order, occupied)
+        assert radix * block >= bound
+        odd = order if order % 2 else order - 1
+        smallest = next(m for m in range(-(-bound // odd), 2 * bound) if _is_5_smooth(m))
+        if odd * smallest <= single:
+            kinds.add("one block")
+            assert (radix, block) == (odd, smallest) and block >= occupied
+        else:
+            kinds.add("blocks")
+            assert block == block_length and (radix - 1) * block < bound
+    assert kinds == {"one block", "blocks"}
 
 
-def test_split_lengths_pins():
-    split = ttagg.rhs.split_lengths
-    # brownian3_n17 at full support: L stays 3 * 2^17
-    assert split(3, 1 << 17) == (3, 1 << 17)
-    assert split(4, 1 << 15) == (3, 43740)  # M >= 43690
-    assert split(5, 1 << 13) == (5, 8192)
-    assert split(2, 1 << 17) == (1, ttagg.rhs.fft_length(2, 1 << 17))
+def test_split_lengths_pins(monkeypatch):
+    monkeypatch.setattr(ttagg.rhs, "_BATCH_BYTES", 0)
+    # brownian3_n17 at full support: L = 96 * 4096 = 3 * 2^17, as before
+    assert _split(3, 1 << 17) == (96, 4096)
+    assert _split(4, 1 << 15) == (32, 4096)  # 131069 <= 131072
+    assert _split(5, 1 << 13) == (10, 4096)  # 5 * 8192 > 2^15
+    assert _split(2, 1 << 17) == (64, 4096)  # even q: a self-conjugate class
+    # one block up to L = 2^15
+    assert _split(3, 1 << 13) == (3, 8192)
+    assert _split(4, 1 << 13) == (8, 4096)  # 3 * 10935 > 2^15
+    assert _split(5, 1 << 12) == (5, 4096)
+    assert _split(2, 1 << 14) == (1, ttagg.rhs.fft_length(2, 1 << 14))
 
 
 def test_gain_path_pins():
     # a rank-1 CP gain on a state that occupies every size: batched up to
-    # 256 KiB of real rows, streamed through the split above
-    def path(order, size):
+    # 256 KiB of real rows, streamed above, through the split above
+    def rule(order, size):
         kernel = constant_symmetrized_cp(1.0, order, size)
-        return ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size)))
+        path, _, split = ttagg.rhs._gain_rule(kernel, ConcentrationState(np.ones(size)))
+        assert path == ttagg.rhs.gain_path(kernel, ConcentrationState(np.ones(size)))
+        return path, split
 
-    split = ttagg.rhs.split_lengths
-    assert path(3, 1 << 11) == "batched FFT"  # 3 rows of 48 KiB
-    assert path(3, 1 << 13) == "streamed FFT"  # 3 rows of 192 KiB
-    assert split(3, 1 << 13) == (3, 1 << 13)
-    assert path(3, 1 << 14) == "streamed FFT" and split(3, 1 << 14) == (3, 1 << 14)
-    assert path(5, 1 << 13) == "streamed FFT" and split(5, 1 << 13) == (5, 1 << 13)
+    assert rule(3, 1 << 11) == ("batched FFT", None)  # 3 rows of 48 KiB
+    assert rule(3, 1 << 13) == ("streamed FFT", (3, 1 << 13))  # 3 rows of 192 KiB
+    assert rule(3, 1 << 14) == ("streamed FFT", (12, 4096))
+    assert rule(5, 1 << 13) == ("streamed FFT", (10, 4096))
     # brownian3_n17
-    assert path(3, 1 << 17) == "streamed FFT" and split(3, 1 << 17) == (3, 1 << 17)
-    assert path(4, 1 << 15) == "streamed FFT" and split(4, 1 << 15) == (3, 43740)
-    assert path(2, 1 << 17) == "streamed FFT" and split(2, 1 << 17) == (1, 1 << 18)
+    assert rule(3, 1 << 17) == ("streamed FFT", (96, 4096))
+    assert rule(4, 1 << 15) == ("streamed FFT", (32, 4096))
+    assert rule(2, 1 << 17) == ("streamed FFT", (64, 4096))
     # brownian4_n15_w2 convolves directly at 64 columns and transforms
     # its rows in one call at 1024
-    assert path(4, 64) == "direct"
-    assert path(4, 1024) == "batched FFT"
+    assert rule(4, 64) == ("direct", None)
+    assert rule(4, 1024) == ("batched FFT", None)
 
 
 def test_run_blocked_covers_range_without_overlap():

@@ -1019,8 +1019,8 @@ _STREAM_N = 4096
 
 # (state length R, occupied size m): full support, a sub-N state, a
 # state of middle width, whose outputs wrap past the split's block length
-# M (top > M), one whose M is odd (3375 = 3^3 5^3 at d = 3 and 5, with
-# top > M), and a narrow one
+# B (top > B), one whose B is odd (3375 = 3^3 5^3 at d = 3 and 5, with
+# top > B), and a narrow one; at N = 4096 every split keeps one block
 _STREAM_STATES = {
     "full": (_STREAM_N, _STREAM_N),
     "sub-n": (3000, 3000),
@@ -1043,6 +1043,11 @@ def _stream_state(which):
     return ConcentrationState(n)
 
 
+def _split(kernel, state):
+    # the split (q, B) of a streamed gain, from `gain_path`'s rule
+    return ttagg.rhs._gain_rule(kernel, state)[2]
+
+
 def _cp_path(order, rank, state):
     # the path `gain_path` picks for an order-d CP gain of `rank` ranks on
     # `state`; the rule reads the kernel's order, rows and form only
@@ -1054,16 +1059,16 @@ def _cp_path(order, rank, state):
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("form", ["cp", "symmetrized"])
 def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank, monkeypatch):
-    # a batched gain, and a streamed one at q = 1 (d = 2), which
-    # transforms at M = L, has the bits of one call; a split gain is held
-    # to direct convolution below.  The narrow state would convolve
+    # a batched gain, and a streamed one at q = 1 (d = 2, one block),
+    # which transforms at B = L, has the bits of one call; a split gain is
+    # held to direct convolution below.  The narrow state would convolve
     # directly, so the bound is lifted: every state here transforms
     monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     kernel = _stream_kernel(form, order, rank)
-    for which, (_, occupied) in _STREAM_STATES.items():
+    for which in _STREAM_STATES:
         state = _stream_state(which)
         path = ttagg.rhs.gain_path(kernel, state)
-        if path == "streamed FFT" and ttagg.rhs.split_lengths(order, occupied)[0] > 1:
+        if path == "streamed FFT" and _split(kernel, state)[0] > 1:
             continue
         np.testing.assert_array_equal(
             rhs_cp_P(kernel, state), _batched_cp_gain(kernel, state), err_msg=which
@@ -1074,7 +1079,7 @@ def test_streamed_cp_gain_keeps_the_bits_of_one_batched_call(form, order, rank, 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("form", ["cp", "symmetrized"])
 def test_streamed_cp_gain_matches_direct_convolution_to_roundoff(form, order, rank):
-    # split, a gain transforms at L = q * M, so it does not share the bits
+    # split, a gain transforms at L = q * B, so it does not share the bits
     # of one batched `rfft` at `fft_length`: it is held to the FFT-free
     # reference, and to exact zeros above min(R, d * m); at q = 1 (d = 2)
     # a streamed gain keeps the batched bits
@@ -1086,30 +1091,33 @@ def test_streamed_cp_gain_matches_direct_convolution_to_roundoff(form, order, ra
         got, expected = rhs_cp_P(kernel, state), _convolved_cp_gain(kernel, state)
         assert rel_inf(got, expected) <= 1e-12, which
         assert np.all(got[min(size, order * occupied) :] == 0.0), which
-        if ttagg.rhs.split_lengths(order, occupied)[0] == 1:
+        if _split(kernel, state)[0] == 1:
             np.testing.assert_array_equal(got, _batched_cp_gain(kernel, state), which)
 
 
 def test_streamed_cp_gain_cases_cover_every_batch_shape(monkeypatch):
     # the cases above run both shapes of a CP gain, one call over all rows
     # and one row per call: the budget falls between their sizes; the
-    # streamed ones run q = 1, 3 and 5, and include outputs that wrap past
-    # the block length M and an odd M.  As in the first test above, no
-    # case convolves directly
+    # streamed ones keep one block at N = 4096 and run q = 1, 3 and 5, and
+    # include outputs that wrap past the block length B and an odd B (the
+    # blocked split is tested at a small B below).  As in the first test
+    # above, no case convolves directly
     monkeypatch.setattr(ttagg.rhs, "_DIRECT_WORK", 0)
     shapes, radices, wraps, odd_blocks = set(), set(), set(), set()
     for order, rank, which in product((2, 3, 4, 5), (1, 2, 3), _STREAM_STATES):
         size, occupied = _STREAM_STATES[which]
-        path = _cp_path(order, rank, _stream_state(which))
+        state = _stream_state(which)
+        path = _cp_path(order, rank, state)
         streamed = path == "streamed FFT"
         shapes.add((rank == 1, "streamed" if streamed else "batched"))
         if streamed:
-            radix, block = ttagg.rhs.split_lengths(order, occupied)
+            radix, block = _split(_stream_kernel("cp", order, rank), state)
+            assert block >= occupied
             radices.add(radix)
             wraps.add(min(size, order * occupied) - order + 1 > block)
             odd_blocks.add(block % 2 == 1)
     assert {shape for _, shape in shapes} == {"batched", "streamed"}
-    # the stream keeps 2 rows per bin class at rank 1 and 3 above it
+    # the stream keeps one running spectrum at rank 1 and two above it
     assert {(True, "streamed"), (False, "streamed")} <= shapes
     assert radices == {1, 3, 5}
     assert wraps == {True, False}
@@ -1119,94 +1127,133 @@ def test_streamed_cp_gain_cases_cover_every_batch_shape(monkeypatch):
 def test_tracer_without_complex_transforms_keeps_the_gain_bits(monkeypatch):
     # a tracer replaces `rhs._fft` with its real transforms only; the
     # split's complex transforms are bound apart, so streamed and batched
-    # gains still run, with the bits they have unpatched
-    cases = [(_stream_kernel("cp", order, 1), _stream_state("full")) for order in (2, 3)]
-    paths = [ttagg.rhs.gain_path(kernel, state) for kernel, state in cases]
-    assert paths == ["batched FFT", "streamed FFT"]
-    assert ttagg.rhs.split_lengths(3, _STREAM_N) == (3, _STREAM_N)
-    expected = [rhs_cp_P(kernel, state) for kernel, state in cases]
-    monkeypatch.setattr(
-        ttagg.rhs, "_fft", types.SimpleNamespace(rfft=np.fft.rfft, irfft=np.fft.irfft)
-    )
-    for (kernel, state), want in zip(cases, expected):
-        np.testing.assert_array_equal(rhs_cp_P(kernel, state), want)
+    # gains still run, with the bits they have unpatched: batched, one
+    # block at q = 3, and 64 blocks of 64 at q = 192
+    kernels = [_stream_kernel("cp", order, 1) for order in (2, 3)]
+    state = _stream_state("full")
+    splits = [(None, None), (None, None), (64, 0)]
+    cases = []
+    for kernel, (block, single) in zip(kernels + kernels[1:], splits):
+        with monkeypatch.context() as patched:
+            if block:
+                patched.setattr(ttagg.rhs, "_BLOCK", block)
+                patched.setattr(ttagg.rhs, "_SINGLE_LENGTH", single)
+            cases.append((ttagg.rhs._gain_rule(kernel, state), rhs_cp_P(kernel, state)))
+            with monkeypatch.context() as traced:
+                traced.setattr(
+                    ttagg.rhs, "_fft", types.SimpleNamespace(rfft=np.fft.rfft, irfft=np.fft.irfft)
+                )
+                np.testing.assert_array_equal(rhs_cp_P(kernel, state), cases[-1][1])
+    rules = [(path, split) for (path, _, split), _ in cases]
+    assert rules == [("batched FFT", None), ("streamed FFT", (3, _STREAM_N)), ("streamed FFT", (192, 64))]
+
+
+def _traced_gain_peak(kernel, state):
+    # bytes a warm gain allocates above what it starts with
+    rhs_cp_P(kernel, state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rhs_cp_P(kernel, state)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _stream_buffers(order, occupied, n_classes, radix, block, rank):
+    # bytes of the buffers a streamed gain on sizes 1..m of R holds at
+    # once (`_cp_stream`).  Folding: the running half spectrum, class 0's
+    # B // 2 + 1 bins and B for each of q // 2 more, a second at rank > 1;
+    # the scratch a row's later modes arrive in, `_GROUP_BYTES` of classes
+    # or class 0's half row; the weighted row, in p's head for one block
+    # and in complex blocks and their sum otherwise; the
+    # block-DFT matrix with its integer phases; p.  Inverting: the
+    # spectrum, class 0's inverse, the unfolded complex blocks of the
+    # output and p
+    half, classes = block // 2 + 1, radix // 2
+    spectrum = 16 * (half + classes * block)
+    group = max(1, ttagg.rhs._GROUP_BYTES // (16 * block))
+    scratch = 16 * max(half, min(group, classes) * block)
+    blocks = -(-occupied // block)
+    if blocks > 1:
+        weighted = 16 * blocks * block + 8 * block
+    else:
+        # the ufunc's 512-value buffers that cast the real row to complex
+        # as every class twists it
+        weighted = 16 << 10 if classes else 0
+    folding = spectrum * (2 if rank > 1 else 1) + scratch + weighted + 24 * classes * blocks
+    outputs = -(-(min(n_classes, order * occupied) - order + 1) // block)
+    inverting = spectrum + 8 * block + (16 * outputs * block if radix > 1 else 0)
+    return max(folding, inverting) + 8 * n_classes
+
+
+def _full_support_state(n_classes):
+    sizes = np.arange(1, n_classes + 1)
+    return ConcentrationState(np.exp(-8.0 * sizes / n_classes))
 
 
 def test_full_support_cp_gain_memory_does_not_grow_with_the_rank():
     # at full support a row of L = 49152 is over the batch budget, so the
-    # rows stream through one-row buffers: a rank-4 gain holds at most one
-    # spectrum row more than a rank-1 gain (the product of a later rank),
+    # rows stream through one-row buffers: a rank-4 gain holds one running
+    # half spectrum more than a rank-1 gain (the product of a later rank),
     # where one call over all rows held 12 rows of each buffer against 3
     n_classes, order = 1 << 14, 3
-    sizes = np.arange(1, n_classes + 1)
-    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
-    length = ttagg.rhs.fft_length(order, n_classes)
+    state = _full_support_state(n_classes)
     peaks = {}
     for rank in (1, 2, 4):
         kernel = _stream_kernel("cp", order, rank, n_classes)
         assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
-        rhs_cp_P(kernel, state)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            rhs_cp_P(kernel, state)
-            peaks[rank] = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-    row = (length // 2 + 1) * 16
+        peaks[rank] = _traced_gain_peak(kernel, state)
+    radix, block = _split(kernel, state)
+    spectrum = (block // 2 + 1 + radix // 2 * block) * 16
     assert abs(peaks[4] - peaks[2]) <= 4096, peaks
-    assert peaks[4] - peaks[1] <= row + 4096, peaks
+    assert peaks[4] - peaks[1] <= spectrum + 4096, peaks
 
 
 def test_streamed_gain_holds_no_real_row_of_transform_length():
-    # the split's transforms of the m occupied sizes run into the class
-    # rows themselves, its twiddles come from tables of about sqrt(M)
-    # entries, and the inverse lands in those rows, so a warm rank-1 gain
-    # holds no more than two spectrum rows, one m-column row and p; a
-    # zero-padded (1, L) real row would add (L - m) * 8, about 2 * m * 8
-    # bytes
+    # the split's transforms of the m occupied sizes run into complex
+    # class rows of the block length B, its twiddles come from tables of
+    # about sqrt(B) entries, and the inverse goes through those rows, so a
+    # warm rank-1 gain holds no more than the buffers `_stream_buffers`
+    # counts; a zero-padded real row of L would add L * 8 bytes
     n_classes, order = 1 << 14, 3
-    sizes = np.arange(1, n_classes + 1)
-    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
-    kernel = _stream_kernel("cp", order, 1, n_classes)
-    length = ttagg.rhs.fft_length(order, n_classes)
-    assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
-    rhs_cp_P(kernel, state)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rhs_cp_P(kernel, state)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    spectrum_row = (length // 2 + 1) * 16
-    weighted_row = p = n_classes * 8
-    assert peak <= 2 * spectrum_row + weighted_row + p + 4096, peak
-
-
-def test_streamed_gain_holds_one_bin_class_at_a_time():
-    # each class of q bins is folded and inverted before the next is
-    # formed, so a warm rank-1 gain holds two rows of M values (the
-    # running product and the arriving row, or c_1 and class 0's two
-    # half rows), one m-column row and p; two half-spectrum rows of
-    # L // 2 + 1 values, 3 * M / 2 each at q = 3, would not fit
-    n_classes, order = 1 << 14, 3
-    sizes = np.arange(1, n_classes + 1)
-    state = ConcentrationState(np.exp(-8.0 * sizes / n_classes))
+    state = _full_support_state(n_classes)
     kernel = _stream_kernel("cp", order, 1, n_classes)
     assert ttagg.rhs.gain_path(kernel, state) == "streamed FFT"
-    radix, block = ttagg.rhs.split_lengths(order, n_classes)
-    assert radix == 3
-    rhs_cp_P(kernel, state)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rhs_cp_P(kernel, state)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    weighted_row = p = n_classes * 8
-    assert peak <= 2 * 16 * block + weighted_row + p + 4096, peak
+    radix, block = _split(kernel, state)
+    held = _stream_buffers(order, n_classes, n_classes, radix, block, 1)
+    peak = _traced_gain_peak(kernel, state)
+    assert peak <= held + 4096, (peak, held)
+
+
+# the split of a streamed gain at full support, by order and N, where
+# the gain streams: one block (q <= 5) or blocks of 4096, at even and
+# odd q
+_HELD_SPLITS = {
+    (2, 1 << 15): (16, 4096), (2, 12000): (1, 24000), (2, _STREAM_N): (1, 8192),
+    (3, 1 << 15): (24, 4096), (3, 12000): (9, 4096), (3, _STREAM_N): (3, 4096),
+    (4, 1 << 15): (32, 4096), (4, 12000): (12, 4096), (4, _STREAM_N): (3, 5625),
+    (5, 1 << 15): (40, 4096), (5, 12000): (15, 4096), (5, _STREAM_N): (5, 4096),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_streamed_gain_holds_one_folded_spectrum(order, rank):
+    # a row's classes are folded into the running half spectrum as they
+    # arrive and inverted once, so a warm gain holds the buffers
+    # `_stream_buffers` counts and nothing more: one running spectrum at
+    # rank 1 and two above it, a scratch of at most `_GROUP_BYTES`, the
+    # weighted row and p
+    for (d, n_classes), split in _HELD_SPLITS.items():
+        state = _full_support_state(n_classes)
+        kernel = _stream_kernel("symmetrized", order, rank, n_classes)
+        if d != order or ttagg.rhs.gain_path(kernel, state) != "streamed FFT":
+            continue
+        assert _split(kernel, state) == split
+        held = _stream_buffers(order, n_classes, n_classes, *split, rank)
+        peak = _traced_gain_peak(kernel, state)
+        assert peak <= held + 4096, (n_classes, peak, held)
 
 
 @pytest.mark.parametrize(
@@ -1229,6 +1276,80 @@ def test_streamed_gain_matches_direct_convolution(make_kernel):
     expected = _convolved_cp_gain(kernel, state)
     error = np.max(np.abs(rhs_cp_P(kernel, state) - expected))
     assert error <= 1e-12 * np.max(np.abs(expected)), error
+
+
+# ---------------------------------------------------------------------------
+# the blocked stream, at a block of 64 columns
+# ---------------------------------------------------------------------------
+
+# (first, stride, count, truncated) of `_lattice_state`, or None for a
+# full-support state of 300 sizes: input and output over 5 blocks; output
+# of 150 sizes on d*m (nout > nin); 40 sizes, one input block; and lattice
+# states, one cut short
+_BLOCKED_STATES = {
+    "full": None,
+    "wide-output": (1, 1, 150, False),
+    "one-block": (1, 1, 40, False),
+    "lattice": (3, 2, 90, False),
+    "lattice-truncated": (2, 3, 70, True),
+}
+
+
+def _blocked_state(which, order):
+    if _BLOCKED_STATES[which] is None:
+        return ConcentrationState(np.random.default_rng(order).uniform(0.1, 1.0, 300))
+    first, stride, count, truncated = _BLOCKED_STATES[which]
+    return _lattice_state(first, stride, count, order, seed=count, truncated=truncated)
+
+
+def _small_blocks(monkeypatch):
+    # every transformed CP gain streams, in blocks of 64, three classes
+    # to a group, so a row's classes come in several groups
+    rhs = ttagg.rhs
+    for name, value in (
+        ("_BLOCK", 64), ("_SINGLE_LENGTH", 0), ("_BATCH_BYTES", 0),
+        ("_DIRECT_WORK", 0), ("_GROUP_BYTES", 3 * 16 * 64),
+    ):
+        monkeypatch.setattr(rhs, name, value)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", ["cp", "symmetrized"])
+def test_blocked_stream_matches_direct_convolution(form, order, rank, monkeypatch):
+    # every case splits into blocks of B = 64: the gain is held to the
+    # FFT-free reference within 1e-12 relative, and to exact zeros above
+    # min(R, d*m) and off the lattice
+    _small_blocks(monkeypatch)
+    for which in _BLOCKED_STATES:
+        state = _blocked_state(which, order)
+        kernel = _stream_kernel(form, order, rank, state.n_classes)
+        path, lattice, (radix, block) = ttagg.rhs._gain_rule(kernel, state)
+        assert (path, block) == ("streamed FFT", 64), which
+        got = rhs_cp_P(kernel, state)
+        assert rel_inf(got, ttagg.rhs.convolved_gain(kernel, state)) <= 1e-12, which
+        top = min(state.n_classes, order * state.occupied_size)
+        assert np.all(got[top:] == 0.0), which
+        assert np.all(got[_off_the_gain_lattice(state, order, lattice)] == 0.0), which
+
+
+def test_blocked_stream_cases_cover_every_shape(monkeypatch):
+    # the cases above split at even and odd q, with input over one block
+    # and over several, output over more blocks than input, and a lattice
+    _small_blocks(monkeypatch)
+    parities, inputs, wider, lattices = set(), set(), set(), set()
+    for order, which in product((2, 3, 4, 5), _BLOCKED_STATES):
+        state = _blocked_state(which, order)
+        kernel = _stream_kernel("cp", order, 1, state.n_classes)
+        _, (first, stride), (radix, block) = ttagg.rhs._gain_rule(kernel, state)
+        count = (state.occupied_size - first) // stride + 1
+        outputs = len(range(order * first - 1, min(state.n_classes, order * state.occupied_size), stride))
+        parities.add(radix % 2)
+        inputs.add(-(-count // block) > 1)
+        wider.add(-(-outputs // block) > -(-count // block))
+        lattices.add(stride > 1)
+    assert parities == {0, 1}
+    assert inputs == wider == lattices == {True, False}
 
 
 # ---------------------------------------------------------------------------
